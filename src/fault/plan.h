@@ -64,7 +64,7 @@ class FaultListener {
 };
 
 /// A deterministic per-round fault schedule.  bind() is called once by
-/// Engine::set_fault_plan with the execution's graph and master seed;
+/// Engine::configure with the execution's graph and master seed;
 /// plan_round() is then called serially at the top of every round with the
 /// currently-crashed set and appends this round's events.  Events for
 /// already-crashed (crash) / already-up (recover) vertices are ignored by

@@ -54,7 +54,7 @@ std::string valid_fault_specs();
 std::string parse_fault_spec(const std::string& spec, FaultSpec& out);
 
 /// Builds the plan for a validated spec.  The plan is unbound; the engine
-/// binds it (graph + master seed) in set_fault_plan.
+/// binds it (graph + master seed) in Engine::configure.
 std::unique_ptr<FaultPlan> build_fault_plan(const FaultSpec& spec);
 
 }  // namespace dg::fault

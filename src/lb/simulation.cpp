@@ -1,6 +1,7 @@
 #include "lb/simulation.h"
 
 #include "util/assert.h"
+#include "util/bitmap.h"
 #include "util/rng.h"
 
 namespace dg::lb {
@@ -9,80 +10,63 @@ namespace dg::lb {
 /// (latency/throughput ledger), and an optional extra listener (e.g. the
 /// abstract MAC adapter).
 ///
-/// Under sharded rounds the forwarding targets are not concurrent-safe, so
-/// the Fanout grows a buffered mode: each vertex parks its (at most one)
-/// recv and ack of the round in a per-vertex slot -- disjoint writes, no
-/// synchronization -- and the engine's serial RoundHooks checkpoints flush
-/// the slots in ascending vertex order.  The serial loop delivers recvs in
-/// ascending receiver order during the reception phase and acks in
-/// ascending vertex order during the output phase, so the flushed call
-/// sequence is byte-for-byte the serial one; downstream state (checker
-/// report, traffic ledger) cannot tell the modes apart.
+/// The forwarding targets are not concurrent-safe, and the engine may run
+/// the reception and output phases block-parallel, so the Fanout buffers:
+/// each vertex parks its (at most one) recv and ack of the round in a
+/// per-vertex slot and marks it in a bitmap -- disjoint writes, since
+/// blocks own whole bitmap words, so no synchronization -- and the
+/// engine's serial RoundHooks checkpoints flush the marked slots in
+/// ascending vertex order.  The flushed call sequence is therefore the
+/// same at every thread count, and costs only the marked slots plus a
+/// word scan.
 class LbSimulation::Fanout final : public LbListener, public sim::RoundHooks {
  public:
-  explicit Fanout(LbSimulation& owner) : owner_(&owner) {}
+  Fanout(LbSimulation& owner, std::size_t n)
+      : owner_(&owner), recv_(n), ack_(n), recv_marked_(n), ack_marked_(n) {}
 
-  /// Rounds 1-based, so round == 0 marks an empty slot.
-  void set_buffered(bool buffered, std::size_t n) {
-    buffered_ = buffered;
-    recv_.assign(buffered ? n : 0, RecvSlot{});
-    ack_.assign(buffered ? n : 0, AckSlot{});
-  }
-
-  bool concurrent_safe() const override { return buffered_; }
+  bool concurrent_safe() const override { return true; }
 
   void on_ack(graph::Vertex vertex, const sim::MessageId& m,
               sim::Round round) override {
-    if (buffered_) {
-      ack_[vertex] = AckSlot{m, round};
-      return;
-    }
-    forward_ack(vertex, m, round);
+    ack_[vertex] = AckSlot{m, round};
+    ack_marked_.set(vertex);
   }
 
   void on_recv(graph::Vertex vertex, const sim::MessageId& m,
                std::uint64_t content, sim::Round round) override {
-    if (buffered_) {
-      recv_[vertex] = RecvSlot{m, content, round};
-      return;
-    }
-    forward_recv(vertex, m, content, round);
+    recv_[vertex] = RecvSlot{m, content, round};
+    recv_marked_.set(vertex);
   }
 
-  // sim::RoundHooks (fired serially by both engine round loops):
+  // sim::RoundHooks (fired serially by the engine every round):
   void after_receive_phase(sim::Round round) override {
     (void)round;
-    if (!buffered_) return;
-    for (graph::Vertex v = 0; v < static_cast<graph::Vertex>(recv_.size());
-         ++v) {
-      RecvSlot& slot = recv_[v];
-      if (slot.round == 0) continue;
-      forward_recv(v, slot.m, slot.content, slot.round);
-      slot.round = 0;
-    }
+    recv_marked_.for_each_set([&](std::size_t v) {
+      const RecvSlot& slot = recv_[v];
+      forward_recv(static_cast<graph::Vertex>(v), slot.m, slot.content,
+                   slot.round);
+    });
+    recv_marked_.clear();
   }
 
   void after_output_phase(sim::Round round) override {
     (void)round;
-    if (!buffered_) return;
-    for (graph::Vertex v = 0; v < static_cast<graph::Vertex>(ack_.size());
-         ++v) {
-      AckSlot& slot = ack_[v];
-      if (slot.round == 0) continue;
-      forward_ack(v, slot.m, slot.round);
-      slot.round = 0;
-    }
+    ack_marked_.for_each_set([&](std::size_t v) {
+      const AckSlot& slot = ack_[v];
+      forward_ack(static_cast<graph::Vertex>(v), slot.m, slot.round);
+    });
+    ack_marked_.clear();
   }
 
  private:
   struct RecvSlot {
     sim::MessageId m;
     std::uint64_t content = 0;
-    sim::Round round = 0;  // 0 = empty
+    sim::Round round = 0;
   };
   struct AckSlot {
     sim::MessageId m;
-    sim::Round round = 0;  // 0 = empty
+    sim::Round round = 0;
   };
 
   void forward_ack(graph::Vertex vertex, const sim::MessageId& m,
@@ -91,8 +75,8 @@ class LbSimulation::Fanout final : public LbListener, public sim::RoundHooks {
     owner_->traffic_->on_ack(m, round);
     // Completed-broadcast progress feed for adaptive fault plans (the
     // k-crash adversary targets the highest-progress vertices).  Runs on
-    // the serial path in both fan-out modes, so plans see the identical
-    // ascending-vertex order at any thread count.
+    // the serial flush, so plans see the identical ascending-vertex order
+    // at any thread count.
     if (owner_->fault_plan_ != nullptr) {
       owner_->fault_plan_->note_progress(vertex);
     }
@@ -109,9 +93,10 @@ class LbSimulation::Fanout final : public LbListener, public sim::RoundHooks {
   }
 
   LbSimulation* owner_;
-  bool buffered_ = false;
   std::vector<RecvSlot> recv_;
   std::vector<AckSlot> ack_;
+  Bitmap recv_marked_;  ///< bit v = recv_[v] holds this round's recv
+  Bitmap ack_marked_;   ///< bit v = ack_[v] holds this round's ack
 };
 
 /// Routes the engine's fault events into the rest of the stack, preserving
@@ -179,7 +164,7 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
       scheduler_(std::move(scheduler)),
       channel_(std::move(channel)),
       ids_(sim::assign_ids(g.size(), derive_seed(master_seed, 0x1d5ULL))),
-      fanout_(std::make_unique<Fanout>(*this)),
+      fanout_(std::make_unique<Fanout>(*this, g.size())),
       checker_(std::make_unique<LbSpecChecker>(g, ids_, params)),
       traffic_port_(std::make_unique<TrafficPort>(*this)),
       traffic_(std::make_unique<traffic::Injector>(g.size(),
@@ -204,50 +189,29 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
     checker_->set_require_gprime_adjacency(channel_->respects_dual_graph());
   }
   engine_->add_observer(checker_.get());
-  // Honor the DG_ROUND_THREADS default the engine picked up at init: the
-  // setter path also enables the buffered fan-out (without which the
-  // LbProcesses would withhold shard consent and every round would fall
-  // back serial).
-  set_round_threads(engine_->round_threads());
-}
-
-void LbSimulation::set_fault_plan(fault::FaultPlan* plan) {
-  fault_plan_ = plan;
-  if (plan != nullptr && fault_bridge_ == nullptr) {
-    fault_bridge_ = std::make_unique<FaultBridge>(*this);
-  }
-  engine_->set_fault_plan(plan, plan != nullptr ? fault_bridge_.get()
-                                                : nullptr);
-}
-
-void LbSimulation::set_round_threads(std::size_t threads) {
-  const bool shard = threads > 1;
-  fanout_->set_buffered(shard, graph_->size());
-  engine_->set_round_hooks(shard ? fanout_.get() : nullptr);
-  // Last: the engine re-polls shard_safe() here, and the processes' answer
-  // depends on the fan-out mode just configured.
-  engine_->set_round_threads(threads);
+  engine_->set_round_hooks(fanout_.get());
 }
 
 void LbSimulation::configure(const sim::EngineConfig& config) {
-  if (config.round_threads != 0) set_round_threads(config.round_threads);
-  if (config.has_sparse_rounds) {
-    engine_->set_sparse_rounds(config.sparse_rounds);
-  }
+  sim::EngineConfig forwarded = config;
   if (config.has_fault_plan) {
     // The wrapper owns the listener side (its FaultBridge routes engine
     // fault events through the abort/checker/traffic accounting); a
     // caller-supplied listener would silently bypass all of that.
     DG_EXPECTS(config.fault_listener == nullptr);
-    set_fault_plan(config.fault_plan);
-  }
-  for (const sim::SpliceSpec& spec : config.splices) {
-    const std::string err = engine_->splice_stage(spec);
-    DG_EXPECTS(err.empty());
+    fault_plan_ = config.fault_plan;
+    if (fault_plan_ != nullptr && fault_bridge_ == nullptr) {
+      fault_bridge_ = std::make_unique<FaultBridge>(*this);
+    }
+    forwarded.fault_listener =
+        fault_plan_ != nullptr ? fault_bridge_.get() : nullptr;
   }
   if (config.has_telemetry) {
-    set_telemetry(config.registry, config.trace_sink);
+    obs_registry_ = config.registry;
+    obs_trace_ = config.registry != nullptr ? config.trace_sink : nullptr;
+    forwarded.trace_sink = obs_trace_;
   }
+  engine_->configure(forwarded);
 }
 
 LbSimulation::~LbSimulation() = default;
@@ -287,9 +251,7 @@ void LbSimulation::keep_busy(const std::vector<graph::Vertex>& vertices) {
 
 void LbSimulation::set_telemetry(obs::Registry* registry,
                                  obs::TraceSink* trace) {
-  obs_registry_ = registry;
-  obs_trace_ = registry != nullptr ? trace : nullptr;
-  engine_->set_telemetry(registry, obs_trace_);
+  configure(sim::EngineConfig{}.with_telemetry(registry, trace));
 }
 
 void LbSimulation::export_telemetry() {

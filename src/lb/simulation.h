@@ -86,18 +86,6 @@ class LbSimulation {
     environment_ = std::move(env);
   }
 
-  /// Installs a crash/recover schedule (see fault/plan.h); the plan must
-  /// outlive the simulation and is bound to this graph + master seed.  The
-  /// wrapper bridges the engine's fault events to the whole stack: a crash
-  /// aborts the vertex's in-flight broadcast through the usual abort
-  /// accounting (spec checker + traffic crash-requeue), then reports the
-  /// crash to the checker's degradation ledger; a recovery notifies the
-  /// injector (admission resumes) and the checker (re-stabilization timer).
-  /// Ack outputs additionally feed FaultPlan::note_progress, so the k-crash
-  /// adversary can target the highest-progress vertices.  Pass nullptr to
-  /// detach.
-  void set_fault_plan(fault::FaultPlan* plan);
-
   // ---- execution ----
 
   void run_round();
@@ -105,23 +93,23 @@ class LbSimulation {
   /// Runs `count` whole LBAlg phases (each params().phase_length() rounds).
   void run_phases(std::int64_t count);
 
-  /// Caps the engine's per-round thread budget and switches the listener
-  /// fan-out accordingly: with threads > 1 the Fanout buffers per-vertex
-  /// recv/ack callbacks during the parallel phases and flushes them at the
-  /// serial between-phase checkpoints, in ascending vertex order -- the
-  /// exact call sequence of the serial loop, so checker reports, traffic
-  /// ledgers and extra listeners are byte-identical at any thread count.
-  /// Constructed simulations start at sim::Engine::default_round_threads()
-  /// (the DG_ROUND_THREADS environment knob).
-  void set_round_threads(std::size_t threads);
-
-  /// Applies a sim::EngineConfig through the wrapper-aware paths: the
-  /// thread cap goes through set_round_threads (fan-out mode + hooks), a
-  /// fault plan through set_fault_plan (the wrapper supplies its own
-  /// FaultBridge listener -- the config must not carry one), splices
-  /// through sim::Engine::splice_stage, and telemetry through
-  /// set_telemetry.  Each piece applies only if set, so a default
-  /// EngineConfig is a no-op.
+  /// Applies a sim::EngineConfig to the engine, wrapper-aware: a fault
+  /// plan is wired through the wrapper's own FaultBridge listener (the
+  /// config must not carry one), which bridges the engine's fault events
+  /// to the whole stack -- a crash aborts the vertex's in-flight broadcast
+  /// through the usual abort accounting (spec checker + traffic
+  /// crash-requeue), then reports the crash to the checker's degradation
+  /// ledger; a recovery notifies the injector (admission resumes) and the
+  /// checker (re-stabilization timer); ack outputs additionally feed
+  /// FaultPlan::note_progress, so the k-crash adversary can target the
+  /// highest-progress vertices.  Telemetry also arms export_telemetry().
+  /// Each piece applies only if set, so a default EngineConfig is a
+  /// no-op.  The thread cap is an upper bound: recv/ack callbacks are
+  /// buffered per vertex and flushed in ascending vertex order at the
+  /// engine's serial checkpoints, so checker reports, traffic ledgers and
+  /// extra listeners are byte-identical at any thread count.  Constructed
+  /// simulations start at sim::Engine::default_round_threads() (the
+  /// DG_ROUND_THREADS environment knob).
   void configure(const sim::EngineConfig& config);
 
   // ---- access ----
@@ -151,9 +139,9 @@ class LbSimulation {
   // ---- telemetry (src/obs/) ----
 
   /// Installs telemetry before the run (both must outlive the simulation;
-  /// nullptr to remove).  Forwards to the engine -- per-round logical
-  /// counters, phase timing, fault instants -- and arms export_telemetry()
-  /// for the wrapper-level aggregates.
+  /// nullptr to remove): configure() with only telemetry set.  The engine
+  /// records per-round logical counters, phase timing and fault instants;
+  /// export_telemetry() adds the wrapper-level aggregates.
   void set_telemetry(obs::Registry* registry,
                      obs::TraceSink* trace = nullptr);
 

@@ -18,13 +18,15 @@
 //     source paper (see docs/PAPER_MAP.md), used to test how well the dual
 //     graph abstracts real interference.
 //
-// Contract: compute_round() fills heard[u] for every vertex u with a packed
-// word -- high 32 bits = the vertex most recently heard from, low 32 bits =
-// the number of decodable senders at u.  The engine interprets count == 1
-// as a delivery from the packed sender, count == 0 as silence and
-// count > 1 as a collision (both surfaced to the process as the null
-// indicator: no collision detection).  `heard` is pre-zeroed by the caller;
-// entries of transmitting vertices are ignored (transmitters hear nothing).
+// Contract: per round the engine calls fill_frontier() (which vertices could
+// hear anything), prepare_round() (serial staging), then compute() over one
+// or more vertex ranges.  compute() writes a packed word into heard[u] --
+// high 32 bits = the vertex most recently heard from, low 32 bits = the
+// number of decodable senders at u.  The engine interprets count == 1 as a
+// delivery from the packed sender, count == 0 as silence and count > 1 as
+// a collision (both surfaced to the process as the null indicator: no
+// collision detection).  Entries of transmitting vertices are ignored
+// (transmitters hear nothing).
 #pragma once
 
 #include <cstdint>
@@ -63,12 +65,6 @@ class ChannelModel {
   /// deterministic function of (round, transmit set).
   virtual void bind(const graph::DualGraph& g, std::uint64_t master_seed) = 0;
 
-  /// Computes one round of reception: for each vertex u, writes the packed
-  /// (heard-from, decodable-sender count) word into heard[u].  `heard` is
-  /// pre-zeroed and sized to the vertex count.
-  virtual void compute_round(sim::Round round, const Bitmap& transmitting,
-                             std::span<std::uint64_t> heard) = 0;
-
   /// Installs the E12 adaptive adversary (sim/adaptive.h).  Only meaningful
   /// for channels whose reception is link-scheduler-driven; the default
   /// rejects the attempt (SINR reception has no edge schedule to override).
@@ -77,80 +73,38 @@ class ChannelModel {
     DG_EXPECTS(!"this channel model does not support adaptive adversaries");
   }
 
-  /// True when this channel supports the sharded reception path:
-  /// prepare_round() once per round, then compute_shard() over disjoint
-  /// receiver ranges, possibly concurrently.  Channels that keep per-round
-  /// mutable scratch keyed by receiver must overload both; the default
-  /// (false) keeps the engine on the serial compute_round() path.
-  virtual bool shardable() const { return false; }
-
-  /// Serial per-round setup for the sharded path: everything that depends
-  /// only on (round, transmit set) -- scheduler strategy selection, edge
-  /// bitmap fills, transmitter bucketing -- happens here, once, before the
-  /// engine fans compute_shard() out.  Default: nothing to prepare.
-  virtual void prepare_round(sim::Round round, const Bitmap& transmitting) {
-    (void)round;
-    (void)transmitting;
-  }
-
-  /// Hands the engine's round thread pool to the channel, so per-round
-  /// *serial-section* precomputation (prepare_round) may itself fan out
-  /// block-parallel work -- the pool is guaranteed idle whenever the
-  /// engine calls into the channel serially.  The pool outlives every
-  /// subsequent round; the engine re-calls this if it rebuilds the pool.
-  /// Sharding a precompute must not change its bytes: results stay
-  /// identical at every thread count.  Default: ignored (serial channels
-  /// have nothing to fan out).
+  /// Hands the engine's round thread pool to the channel, so the serial
+  /// per-round staging (prepare_round) may itself fan out block-parallel
+  /// work -- the pool is guaranteed idle whenever the engine calls into
+  /// the channel serially.  The pool outlives every subsequent round; the
+  /// engine re-calls this if it rebuilds the pool.  Sharding a precompute
+  /// must not change its bytes: results stay identical at every thread
+  /// count.  Default: ignored.
   virtual void set_round_pool(util::ThreadPool* pool) { (void)pool; }
-
-  /// Sharded reception: fills heard[u] for u in [begin, end) only, reading
-  /// whatever prepare_round() staged.  May be called concurrently for
-  /// disjoint ranges; must write nothing outside its range and must equal
-  /// compute_round() bit-for-bit on the union of the ranges.  `heard` is
-  /// the full vertex-indexed span (pre-zeroed over [begin, end)).
-  virtual void compute_shard(sim::Round round, const Bitmap& transmitting,
-                             std::span<std::uint64_t> heard,
-                             graph::Vertex begin, graph::Vertex end) {
-    (void)round;
-    (void)transmitting;
-    (void)heard;
-    (void)begin;
-    (void)end;
-    DG_EXPECTS(!"this channel model does not implement sharded reception");
-  }
-
-  /// True when the channel can bound, before reception runs, the set of
-  /// vertices that could possibly hear a non-zero verdict this round
-  /// (fill_frontier below).  Channels that cannot -- or whose bound would
-  /// be the whole vertex set -- keep the default and the engine stays on
-  /// the dense path.
-  virtual bool frontier_capable() const { return false; }
 
   /// Marks in `frontier` every vertex u whose heard[u] could be non-zero
   /// this round, given the transmit set: a conservative, schedule-
   /// independent superset (it may include vertices that end up hearing
   /// nothing, never the reverse).  Bits already set in `frontier` must be
   /// left set (the engine pre-seeds fault-event vertices).  Called serially
-  /// once per round, before prepare_round()/compute.
-  virtual void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) {
-    (void)transmitting;
-    (void)frontier;
-    DG_EXPECTS(!"this channel model does not implement frontier reception");
-  }
+  /// once per round, before prepare_round().
+  virtual void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) = 0;
 
-  /// Serial sparse reception: fills heard[u] for frontier vertices only;
-  /// the caller pre-zeroes heard over the frontier's 64-vertex words and
-  /// guarantees fill_frontier() produced `frontier` from this round's
-  /// transmit set.  The default forwards to compute_round(), which is
-  /// correct whenever compute_round's writes are confined to the frontier
-  /// (true of the dual-graph scatter); channels whose compute_round visits
-  /// every receiver must override with a frontier-limited loop.
-  virtual void compute_frontier(sim::Round round, const Bitmap& transmitting,
-                                std::span<std::uint64_t> heard,
-                                const Bitmap& frontier) {
-    (void)frontier;
-    compute_round(round, transmitting, heard);
-  }
+  /// Serial per-round staging: everything that depends only on (round,
+  /// transmit set) -- scheduler strategy selection, edge bitmap fills,
+  /// transmitter bucketing -- happens here, once, before any compute().
+  virtual void prepare_round(sim::Round round, const Bitmap& transmitting) = 0;
+
+  /// Reception over the vertex range [begin, end) (64-aligned begin): fills
+  /// heard[u] for every u in a non-zero word of `frontier` inside the
+  /// range, reading whatever prepare_round() staged.  The caller pre-zeroes
+  /// heard over exactly those words; entries outside them must not be
+  /// written.  May be called concurrently for disjoint ranges; the words
+  /// written must not depend on how the caller split the vertex set.
+  /// `heard` is the full vertex-indexed span.
+  virtual void compute(sim::Round round, const Bitmap& transmitting,
+                       std::span<std::uint64_t> heard, const Bitmap& frontier,
+                       graph::Vertex begin, graph::Vertex end) = 0;
 
   /// Whether deliveries are confined to edges of the bound dual graph.
   /// True for DualGraphChannel (the Section 2 rule *is* the graph);

@@ -15,9 +15,8 @@ void DualGraphChannel::bind(const graph::DualGraph& g,
   edge_active_.resize(g.unreliable_edge_count());
 }
 
-void DualGraphChannel::compute_round(sim::Round round,
-                                     const Bitmap& transmitting,
-                                     std::span<std::uint64_t> heard) {
+void DualGraphChannel::prepare_round(sim::Round round,
+                                     const Bitmap& transmitting) {
   const graph::DualGraph& g = *graph_;
   // `unreliable_probes` counts the edge-presence tests the reception pass
   // will make; it picks the scheduler consumption strategy below.
@@ -37,57 +36,6 @@ void DualGraphChannel::compute_round(sim::Round round,
   // otherwise probe the scheduler per incident edge, so sparse rounds never
   // pay for edges nobody transmits across.  Both paths are bit-identical by
   // the fill_round() == active() contract.
-  bool use_bitmap = true;
-  if (adaptive_ != nullptr) {
-    transmitting_bools_.assign(g.size(), false);
-    transmitting.for_each_set(
-        [&](std::size_t v) { transmitting_bools_[v] = true; });
-    adaptive_->plan_round(round, g, transmitting_bools_);
-    adaptive_->fill_round(edge_active_);
-  } else if (unreliable_probes == 0) {
-    use_bitmap = false;  // neither path will probe anything
-  } else if (scheduler_->fill_round_is_word_cheap() ||
-             unreliable_probes * 2 >= edge_active_.size()) {
-    scheduler_->fill_round(round, edge_active_);
-  } else {
-    use_bitmap = false;
-  }
-
-  // Fused heard-count/heard-from pass: one packed word per vertex (high 32
-  // bits last sender, low 32 bits count), scanned over CSR adjacency.
-  transmitting.for_each_set([&](std::size_t vi) {
-    const auto v = static_cast<graph::Vertex>(vi);
-    const std::uint64_t sender_word = static_cast<std::uint64_t>(v) << 32;
-    for (graph::Vertex u : g.g_neighbors(v)) {
-      heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
-    }
-    if (use_bitmap) {
-      for (const auto& [edge, u] : g.unreliable_incident(v)) {
-        if (edge_active_.test(edge)) {
-          heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
-        }
-      }
-    } else {
-      for (const auto& [edge, u] : g.unreliable_incident(v)) {
-        if (scheduler_->active(edge, round)) {
-          heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
-        }
-      }
-    }
-  });
-}
-
-void DualGraphChannel::prepare_round(sim::Round round,
-                                     const Bitmap& transmitting) {
-  const graph::DualGraph& g = *graph_;
-  // Identical strategy selection to compute_round(): the probe count and
-  // the density cutover must match so the two paths consume the scheduler
-  // the same way round for round.
-  std::size_t unreliable_probes = 0;
-  transmitting.for_each_set([&](std::size_t v) {
-    unreliable_probes +=
-        g.unreliable_incident(static_cast<graph::Vertex>(v)).size();
-  });
   use_bitmap_ = true;
   if (adaptive_ != nullptr) {
     transmitting_bools_.assign(g.size(), false);
@@ -96,10 +44,9 @@ void DualGraphChannel::prepare_round(sim::Round round,
     adaptive_->plan_round(round, g, transmitting_bools_);
     adaptive_->fill_round(edge_active_);
   } else if (unreliable_probes == 0) {
-    // No transmitter has unreliable incidence, so the gather's
-    // transmitting-first test short-circuits every edge probe; the branch
-    // taken below is irrelevant, matching the serial "neither path probes"
-    // case.
+    // No transmitter has unreliable incidence, so neither the scatter nor
+    // the gather (transmitting test first) probes an edge; edge_active_
+    // may be stale and is never read.
     use_bitmap_ = false;
   } else if (scheduler_->fill_round_is_word_cheap() ||
              unreliable_probes * 2 >= edge_active_.size()) {
@@ -109,44 +56,56 @@ void DualGraphChannel::prepare_round(sim::Round round,
   }
 }
 
-void DualGraphChannel::compute_shard(sim::Round round,
-                                     const Bitmap& transmitting,
-                                     std::span<std::uint64_t> heard,
-                                     graph::Vertex begin, graph::Vertex end) {
+void DualGraphChannel::compute(sim::Round round, const Bitmap& transmitting,
+                               std::span<std::uint64_t> heard,
+                               const Bitmap& frontier, graph::Vertex begin,
+                               graph::Vertex end) {
   const graph::DualGraph& g = *graph_;
-  // Receiver-side gather over [begin, end): writes stay inside the shard's
-  // own range, so shards never contend.  count and max-transmitting-
-  // neighbor reproduce the serial scatter's packed word exactly (see the
-  // header).  The transmitting test comes first: when no transmitter has
-  // unreliable incidence the round's edge_active_ may be stale, and the
-  // short-circuit guarantees it is never read -- same contract as the
-  // serial strategy block.
-  for (graph::Vertex u = begin; u < end; ++u) {
-    std::uint64_t count = 0;
-    graph::Vertex from = 0;
-    for (graph::Vertex v : g.g_neighbors(u)) {
-      if (transmitting.test(v)) {
-        ++count;
-        if (v > from) from = v;
+  const bool use_bitmap = use_bitmap_;
+  const auto edge_active = [&](std::size_t edge) {
+    return use_bitmap ? edge_active_.test(edge)
+                      : scheduler_->active(edge, round);
+  };
+  if (begin == 0 && end == g.size()) {
+    // Fused heard-count/heard-from scatter: one packed word per vertex
+    // (high 32 bits last sender, low 32 bits count), over CSR adjacency.
+    transmitting.for_each_set([&](std::size_t vi) {
+      const auto v = static_cast<graph::Vertex>(vi);
+      const std::uint64_t sender_word = static_cast<std::uint64_t>(v) << 32;
+      for (graph::Vertex u : g.g_neighbors(v)) {
+        heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
       }
-    }
-    if (use_bitmap_) {
-      for (const auto& [edge, v] : g.unreliable_incident(u)) {
-        if (transmitting.test(v) && edge_active_.test(edge)) {
-          ++count;
-          if (v > from) from = v;
+      for (const auto& [edge, u] : g.unreliable_incident(v)) {
+        if (edge_active(edge)) {
+          heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
         }
       }
-    } else {
-      for (const auto& [edge, v] : g.unreliable_incident(u)) {
-        if (transmitting.test(v) && scheduler_->active(edge, round)) {
-          ++count;
-          if (v > from) from = v;
-        }
-      }
-    }
-    if (count != 0) heard[u] = heard_word(from, count);
+    });
+    return;
   }
+  // Receiver-side gather over the range's frontier words: writes stay
+  // inside the caller's range, so concurrent ranges never contend.  The
+  // transmitting test comes first, so a stale edge_active_ is never read.
+  frontier.for_each_nonzero_run(begin, end, [&](std::size_t lo,
+                                                std::size_t hi) {
+    for (auto u = static_cast<graph::Vertex>(lo); u < hi; ++u) {
+      std::uint64_t count = 0;
+      graph::Vertex from = 0;
+      for (graph::Vertex v : g.g_neighbors(u)) {
+        if (transmitting.test(v)) {
+          ++count;
+          if (v > from) from = v;
+        }
+      }
+      for (const auto& [edge, v] : g.unreliable_incident(u)) {
+        if (transmitting.test(v) && edge_active(edge)) {
+          ++count;
+          if (v > from) from = v;
+        }
+      }
+      if (count != 0) heard[u] = heard_word(from, count);
+    }
+  });
 }
 
 void DualGraphChannel::fill_frontier(const Bitmap& transmitting,
@@ -156,7 +115,7 @@ void DualGraphChannel::fill_frontier(const Bitmap& transmitting,
   // *all* unreliable-incident endpoints of every transmitter, regardless of
   // which edges the scheduler (or an adaptive adversary) activates.  Being
   // schedule-independent keeps the scheduler's RNG consumption and the
-  // adaptive plan_round() call order byte-identical to the dense path; the
+  // adaptive plan_round() call order independent of the frontier; the
   // cost is O(sum deg(tx)), the same order as the scatter itself.
   transmitting.for_each_set([&](std::size_t vi) {
     const auto v = static_cast<graph::Vertex>(vi);

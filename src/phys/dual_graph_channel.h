@@ -26,32 +26,26 @@ class DualGraphChannel final : public ChannelModel {
       : scheduler_(&scheduler) {}
 
   void bind(const graph::DualGraph& g, std::uint64_t master_seed) override;
-  void compute_round(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard) override;
   void set_adaptive_adversary(sim::AdaptiveAdversary* adversary) override {
     adaptive_ = adversary;
   }
-  /// Sharded path: prepare_round() runs the strategy block (adaptive plan,
-  /// bulk fill vs per-edge probes) serially; compute_shard() then *gathers*
-  /// per receiver -- count and max transmitting round-neighbor over u's own
-  /// adjacency -- which equals the serial scatter's packed word exactly:
-  /// the scatter's last writer is the largest transmitting neighbor because
-  /// for_each_set scans ascending.  The serial compute_round() keeps the
-  /// scatter form, which is faster when rounds are sparse in transmitters.
-  bool shardable() const override { return true; }
-  void prepare_round(sim::Round round, const Bitmap& transmitting) override;
-  void compute_shard(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard, graph::Vertex begin,
-                     graph::Vertex end) override;
-  bool respects_dual_graph() const override { return true; }
   /// Frontier: every G-neighbor of a transmitter plus every unreliable-
   /// incident endpoint, whether or not the edge fires -- a schedule-
   /// independent superset, so the mask never consumes a scheduler draw.
-  /// The serial sparse path keeps the inherited compute_frontier() default
-  /// (forward to compute_round()): the scatter's writes are confined to
-  /// exactly this frontier.
-  bool frontier_capable() const override { return true; }
   void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
+  /// Runs the strategy block (adaptive plan, bulk fill vs per-edge probes).
+  void prepare_round(sim::Round round, const Bitmap& transmitting) override;
+  /// Over the whole vertex range, *scatters* from the transmitters (cheap
+  /// when rounds are sparse in transmitters; every write lands in the
+  /// frontier).  Over a partial range, *gathers* per receiver in the
+  /// range's frontier words -- count and max transmitting round-neighbor
+  /// over u's own adjacency -- which equals the scatter's packed word
+  /// exactly: the scatter's last writer is the largest transmitting
+  /// neighbor because for_each_set scans ascending.
+  void compute(sim::Round round, const Bitmap& transmitting,
+               std::span<std::uint64_t> heard, const Bitmap& frontier,
+               graph::Vertex begin, graph::Vertex end) override;
+  bool respects_dual_graph() const override { return true; }
   std::string name() const override;
 
   const sim::LinkScheduler& scheduler() const noexcept { return *scheduler_; }
@@ -64,8 +58,8 @@ class DualGraphChannel final : public ChannelModel {
   // Scratch reused every round, sized at bind().
   sim::EdgeBitmap edge_active_;           ///< this round's unreliable subset
   std::vector<bool> transmitting_bools_;  ///< adaptive plan_round view
-  /// Strategy picked by prepare_round() for the round's compute_shard()
-  /// calls: probe edge_active_ (true) or scheduler_->active() (false).
+  /// Strategy picked by prepare_round() for the round's compute() calls:
+  /// probe edge_active_ (true) or scheduler_->active() (false).
   bool use_bitmap_ = false;
 };
 

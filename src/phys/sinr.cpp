@@ -107,41 +107,6 @@ void SinrChannel::fill_frontier(const Bitmap& transmitting, Bitmap& frontier) {
   frontier_touched_.clear();
 }
 
-void SinrChannel::compute_frontier(sim::Round round, const Bitmap& transmitting,
-                                   std::span<std::uint64_t> heard,
-                                   const Bitmap& frontier) {
-  // Same staging as the sharded path, then the verdict loop over maximal
-  // runs of non-empty frontier words only.  Visiting a non-frontier vertex
-  // inside a frontier word is harmless (its verdict is clears == 0, no
-  // write); skipping empty words is where the sparsity pays.
-  prepare_round(round, transmitting);
-  const auto words = frontier.words();
-  const auto n = static_cast<graph::Vertex>(positions_.size());
-  std::size_t w = 0;
-  while (w < words.size()) {
-    if (words[w] == 0) {
-      ++w;
-      continue;
-    }
-    std::size_t w_end = w + 1;
-    while (w_end < words.size() && words[w_end] != 0) ++w_end;
-    const auto begin = static_cast<graph::Vertex>(w * 64);
-    const auto end = std::min(static_cast<graph::Vertex>(w_end * 64), n);
-    compute_shard(round, transmitting, heard, begin, end);
-    w = w_end;
-  }
-}
-
-void SinrChannel::compute_round(sim::Round round, const Bitmap& transmitting,
-                                std::span<std::uint64_t> heard) {
-  // The serial pass is the sharded pass over the full receiver range; the
-  // verdict loop lives in compute_shard() alone so the two paths cannot
-  // drift apart.
-  prepare_round(round, transmitting);
-  compute_shard(round, transmitting, heard, 0,
-                static_cast<graph::Vertex>(positions_.size()));
-}
-
 void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {
   (void)round;
   // Bucket this round's transmitters (touched-cell list keeps the clear
@@ -154,7 +119,7 @@ void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {
     if (cell_tx_[c].empty()) tx_cells_.push_back(c);
     cell_tx_[c].push_back(v);
   });
-  if (tx_cells_.empty()) return;  // compute_shard() early-outs too
+  if (tx_cells_.empty()) return;  // compute() early-outs too
 
   // Far-field estimate per receiver cell: each far transmitter cell
   // contributes P * count * min_cell_distance^-alpha -- a conservative
@@ -193,44 +158,50 @@ void SinrChannel::prepare_round(sim::Round round, const Bitmap& transmitting) {
   }
 }
 
-void SinrChannel::compute_shard(sim::Round round, const Bitmap& transmitting,
-                                std::span<std::uint64_t> heard,
-                                graph::Vertex begin, graph::Vertex end) {
+void SinrChannel::compute(sim::Round round, const Bitmap& transmitting,
+                          std::span<std::uint64_t> heard,
+                          const Bitmap& frontier, graph::Vertex begin,
+                          graph::Vertex end) {
   (void)round;
   if (tx_cells_.empty()) return;
 
   // Per-receiver verdicts: exact signal + interference over near cells,
   // far-field estimate for the rest, deliver iff exactly one candidate
-  // clears beta (with beta >= 1, at most one ever does).  Candidate scratch
-  // is thread-local: concurrent shards must not share a buffer, and each
-  // receiver's candidate list is rebuilt from scratch either way.
+  // clears beta (with beta >= 1, at most one ever does).  Visiting a
+  // non-frontier vertex inside a frontier word is harmless (its verdict is
+  // clears == 0, no write); skipping empty words is where sparsity pays.
+  // Candidate scratch is thread-local: concurrent ranges must not share a
+  // buffer, and each receiver's candidate list is rebuilt from scratch.
   static thread_local std::vector<std::pair<graph::Vertex, double>> candidates;
-  for (graph::Vertex u = begin; u < end; ++u) {
-    if (transmitting.test(u)) continue;  // transmitters hear nothing
-    const std::size_t rc = cell_of_vertex_[u];
-    const geo::Point& pu = positions_[u];
-    double interference = far_field_[rc];
-    candidates.clear();
-    for (std::size_t nc : cells_[rc].near) {
-      for (graph::Vertex v : cell_tx_[nc]) {
-        const double d2 = geo::distance_sq(pu, positions_[v]);
-        const double gain = path_gain(params_, d2);
-        interference += gain;
-        if (d2 <= range_sq_) candidates.emplace_back(v, gain);
+  frontier.for_each_nonzero_run(begin, end, [&](std::size_t lo,
+                                                std::size_t hi) {
+    for (auto u = static_cast<graph::Vertex>(lo); u < hi; ++u) {
+      if (transmitting.test(u)) continue;  // transmitters hear nothing
+      const std::size_t rc = cell_of_vertex_[u];
+      const geo::Point& pu = positions_[u];
+      double interference = far_field_[rc];
+      candidates.clear();
+      for (std::size_t nc : cells_[rc].near) {
+        for (graph::Vertex v : cell_tx_[nc]) {
+          const double d2 = geo::distance_sq(pu, positions_[v]);
+          const double gain = path_gain(params_, d2);
+          interference += gain;
+          if (d2 <= range_sq_) candidates.emplace_back(v, gain);
+        }
       }
-    }
-    std::uint64_t clears = 0;
-    graph::Vertex from = 0;
-    for (const auto& [v, gain] : candidates) {
-      // SINR test: gain / (N + I - gain) >= beta, rearranged to avoid the
-      // division.
-      if (gain >= params_.beta * (params_.noise + interference - gain)) {
-        ++clears;
-        from = v;
+      std::uint64_t clears = 0;
+      graph::Vertex from = 0;
+      for (const auto& [v, gain] : candidates) {
+        // SINR test: gain / (N + I - gain) >= beta, rearranged to avoid
+        // the division.
+        if (gain >= params_.beta * (params_.noise + interference - gain)) {
+          ++clears;
+          from = v;
+        }
       }
+      if (clears != 0) heard[u] = heard_word(from, clears);
     }
-    if (clears != 0) heard[u] = heard_word(from, clears);
-  }
+  });
 }
 
 std::string SinrChannel::name() const {

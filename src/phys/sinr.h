@@ -83,34 +83,25 @@ class SinrChannel final : public ChannelModel {
   SinrChannel(const SinrParams& params, geo::Embedding embedding);
 
   void bind(const graph::DualGraph& g, std::uint64_t master_seed) override;
-  void compute_round(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard) override;
-  /// Sharded path: prepare_round() buckets the round's transmitters and
-  /// computes the per-cell far field (both functions of the transmit set
-  /// alone); compute_shard() runs the per-receiver verdict loop over its
-  /// range with thread-local candidate scratch.  Per-receiver arithmetic
-  /// and accumulation order are identical to the serial pass, so the
-  /// floating-point verdicts match bit for bit.
-  bool shardable() const override { return true; }
-  /// The far-field precompute (per receiver cell, disjoint writes, inner
-  /// accumulation order unchanged) shards over the engine's pool when one
-  /// is installed -- bit-identical to the serial pass at any thread count.
-  void set_round_pool(util::ThreadPool* pool) override { pool_ = pool; }
-  void prepare_round(sim::Round round, const Bitmap& transmitting) override;
-  void compute_shard(sim::Round round, const Bitmap& transmitting,
-                     std::span<std::uint64_t> heard, graph::Vertex begin,
-                     graph::Vertex end) override;
   /// Frontier: noise > 0 bounds the decodable range, and near sets are
   /// symmetric in min_cell_distance, so every possible hearer lives in a
   /// near cell of some transmitter cell.  fill_frontier() unions those
-  /// cells' members (deduped with O(activity) touched-flag scratch);
-  /// compute_frontier() runs prepare_round() plus the verdict loop over
-  /// frontier words only.
-  bool frontier_capable() const override { return true; }
+  /// cells' members (deduped with O(activity) touched-flag scratch).
   void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
-  void compute_frontier(sim::Round round, const Bitmap& transmitting,
-                        std::span<std::uint64_t> heard,
-                        const Bitmap& frontier) override;
+  /// Buckets the round's transmitters and computes the per-cell far field
+  /// (both functions of the transmit set alone).  The far-field precompute
+  /// (per receiver cell, disjoint writes, inner accumulation order
+  /// unchanged) shards over the engine's pool when one is installed --
+  /// bit-identical to the serial pass at any thread count.
+  void set_round_pool(util::ThreadPool* pool) override { pool_ = pool; }
+  void prepare_round(sim::Round round, const Bitmap& transmitting) override;
+  /// The per-receiver verdict loop over the range's frontier words, with
+  /// thread-local candidate scratch.  Per-receiver arithmetic and
+  /// accumulation order do not depend on the range, so the floating-point
+  /// verdicts match bit for bit however the engine splits the vertices.
+  void compute(sim::Round round, const Bitmap& transmitting,
+               std::span<std::uint64_t> heard, const Bitmap& frontier,
+               graph::Vertex begin, graph::Vertex end) override;
   std::string name() const override;
 
   const SinrParams& params() const noexcept { return params_; }
@@ -135,7 +126,7 @@ class SinrChannel final : public ChannelModel {
   std::vector<std::size_t> cell_of_vertex_;
 
   // Per-round scratch, sized at bind(); written only by prepare_round(),
-  // read-only during the (possibly concurrent) compute_shard() calls.
+  // read-only during the (possibly concurrent) compute() calls.
   std::vector<std::vector<graph::Vertex>> cell_tx_;  ///< transmitters per cell
   std::vector<std::size_t> tx_cells_;                ///< touched cell indices
   std::vector<double> far_field_;                    ///< per receiver cell

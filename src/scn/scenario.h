@@ -176,7 +176,7 @@ std::string validate_scheduler_spec(const std::string& spec);
 
 /// Validates a --round-threads style value: a positive integer, no sign,
 /// no trailing junk (0 is rejected -- "run serial" is spelled 1, matching
-/// sim::Engine::set_round_threads).  On success fills `out` and returns
+/// sim::EngineConfig::round_threads).  On success fills `out` and returns
 /// ""; otherwise returns a message naming the offending value.  Shared by
 /// dglab and dgcampaign so the two CLIs reject identically.
 std::string validate_round_threads_value(const std::string& value,

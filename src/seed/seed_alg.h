@@ -47,7 +47,7 @@ struct SeedAlgParams {
 /// never leaks it.
 enum class SeedStatus { active, leader, inactive };
 
-/// The decide(j, s) output of the Seed specification.
+/// The decide output (j, s) of the Seed specification.
 struct SeedDecision {
   sim::ProcessId owner = 0;       ///< j: the id whose seed was committed
   std::uint64_t seed_value = 0;   ///< s: the committed seed

@@ -24,7 +24,7 @@ namespace dg::seed {
 using DecisionVector = std::vector<std::optional<SeedDecision>>;
 
 struct SeedSpecResult {
-  /// Condition 1: exactly one decide(*, *)_u per vertex.
+  /// Condition 1: exactly one decide output (*, *)_u per vertex.
   bool well_formed = false;
   /// Condition 2: equal owners imply equal seeds.
   bool consistent = false;

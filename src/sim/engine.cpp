@@ -44,17 +44,17 @@ std::vector<ProcessId> assign_ids(std::size_t n, std::uint64_t seed) {
 
 // ---------------------------------------------------------------------------
 // The core stage set.  Each stage is a thin adapter from the RoundStage
-// contract onto the engine's slabs and fan-out lists; the bodies are the
-// phase bodies of the former monolithic round loops, split along the
-// prologue/run/run_block/replay/epilogue seams so one driver serves both
-// dispatches with the exact same event order (see sim/stage.h).
+// contract onto the engine's slabs and fan-out lists: run_block() is the
+// one body (per vertex block, parallel or inline), and every observer
+// event is fanned out by replay() in ascending vertex order (see
+// sim/stage.h).
 // ---------------------------------------------------------------------------
 
 struct EngineStages {
   /// "fault": the serial fault checkpoint.  Only active with a plan
   /// installed, so fault-free rounds skip the bracket entirely.  Runs
   /// before the on_round_begin fan-out (the transmit slot carries that
-  /// seam), exactly where apply_faults() sat in the monolithic loop.
+  /// seam).
   class FaultStage final : public RoundStage {
    public:
     explicit FaultStage(Engine& e) : e_(e) {}
@@ -63,8 +63,10 @@ struct EngineStages {
     SlabSet writes() const override {
       return slab_bit(Slab::kCrashedBitmap);
     }
-    bool active(bool) const override { return e_.fault_plan_ != nullptr; }
-    void run(RoundState& rs) override { e_.apply_faults(rs.round); }
+    bool active() const override { return e_.fault_plan_ != nullptr; }
+    void run_block(RoundState& rs, graph::Vertex, graph::Vertex) override {
+      e_.apply_faults(rs.round);
+    }
 
    private:
     Engine& e_;
@@ -73,7 +75,10 @@ struct EngineStages {
   /// "transmit": per-vertex transmit decisions into the packet slab and
   /// transmit bitmap.  Blocks own whole bitmap words (block sizes are
   /// multiples of 64), so the set() read-modify-writes never touch
-  /// another block's word.
+  /// another block's word.  Whole 64-vertex words of parked vertices are
+  /// skipped via word_silent_until_; a vertex whose promise just expired
+  /// gets one batched silent_steps() catch-up before its step.  Crashed
+  /// vertices are parked forever, so no explicit crashed_ test.
   class TransmitStage final : public RoundStage {
    public:
     explicit TransmitStage(Engine& e) : e_(e) {}
@@ -87,26 +92,31 @@ struct EngineStages {
     }
     bool vertex_disjoint_writes() const override { return true; }
     void prologue(RoundState&) override { e_.transmitting_.clear(); }
-    void run(RoundState& rs) override {
-      if (rs.sparse) {
-        decide_sparse(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-                      !e_.obs_transmit_.empty());
-        return;
-      }
-      decide(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-             !e_.obs_transmit_.empty());
-    }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        decide_sparse(rs, begin, end, /*inline_obs=*/false);
-        return;
+      const Round t = rs.round;
+      const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
+      for (std::size_t w = begin / 64; w < we; ++w) {
+        if (e_.word_silent_until_[w] >= t) continue;
+        const auto lo = static_cast<graph::Vertex>(w * 64);
+        const auto hi = std::min(static_cast<graph::Vertex>(lo + 64), end);
+        for (graph::Vertex v = lo; v < hi; ++v) {
+          if (e_.silent_until_[v] >= t) continue;  // parked (or crashed)
+          if (e_.last_stepped_[v] < t - 1) {
+            e_.processes_[v]->silent_steps(t - 1 - e_.last_stepped_[v]);
+          }
+          e_.last_stepped_[v] = t;
+          RoundContext ctx(t, e_.rngs_[v]);
+          auto packet = e_.processes_[v]->transmit(ctx);
+          if (!packet.has_value()) continue;
+          // The wire carries the true sender id; processes cannot spoof.
+          DG_ASSERT(packet->sender == e_.processes_[v]->id());
+          e_.outgoing_slab_[v] = *std::move(packet);
+          e_.transmitting_.set(v);
+        }
       }
-      decide(rs, begin, end, /*inline_obs=*/false);
     }
     void replay(RoundState& rs) override {
-      // Ascending-vertex replay off the bitmap is the exact event stream
-      // the serial dispatch emits inline.
       if (e_.obs_transmit_.empty()) return;
       const Round t = rs.round;
       e_.transmitting_.for_each_set([&](std::size_t v) {
@@ -118,69 +128,13 @@ struct EngineStages {
     }
 
    private:
-    void decide(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                bool inline_obs) {
-      const Round t = rs.round;
-      for (graph::Vertex v = begin; v < end; ++v) {
-        if (rs.faults && e_.crashed_.test(v)) continue;
-        RoundContext ctx(t, e_.rngs_[v]);
-        auto packet = e_.processes_[v]->transmit(ctx);
-        if (!packet.has_value()) continue;
-        // The wire carries the true sender id; processes cannot spoof.
-        DG_ASSERT(packet->sender == e_.processes_[v]->id());
-        e_.outgoing_slab_[v] = *std::move(packet);
-        e_.transmitting_.set(v);
-        if (inline_obs) {
-          for (Observer* obs : e_.obs_transmit_) {
-            obs->on_transmit(t, v, e_.outgoing_slab_[v]);
-          }
-        }
-      }
-    }
-
-    /// Sparse dispatch: whole 64-vertex words of parked vertices are
-    /// skipped via word_silent_until_; a vertex whose promise just expired
-    /// gets one batched silent_steps() catch-up before its dense step.
-    /// Crashed vertices are parked forever, so no explicit crashed_ test.
-    void decide_sparse(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                       bool inline_obs) {
-      const Round t = rs.round;
-      const std::size_t wb = begin / 64;
-      const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
-      for (std::size_t w = wb; w < we; ++w) {
-        if (e_.word_silent_until_[w] >= t) continue;
-        const auto lo = static_cast<graph::Vertex>(w * 64);
-        const auto hi =
-            std::min(static_cast<graph::Vertex>(lo + 64), end);
-        for (graph::Vertex v = lo; v < hi; ++v) {
-          if (e_.silent_until_[v] >= t) continue;  // parked (or crashed)
-          if (e_.last_stepped_[v] < t - 1) {
-            e_.processes_[v]->silent_steps(t - 1 - e_.last_stepped_[v]);
-          }
-          e_.last_stepped_[v] = t;
-          RoundContext ctx(t, e_.rngs_[v]);
-          auto packet = e_.processes_[v]->transmit(ctx);
-          if (!packet.has_value()) continue;
-          DG_ASSERT(packet->sender == e_.processes_[v]->id());
-          e_.outgoing_slab_[v] = *std::move(packet);
-          e_.transmitting_.set(v);
-          if (inline_obs) {
-            for (Observer* obs : e_.obs_transmit_) {
-              obs->on_transmit(t, v, e_.outgoing_slab_[v]);
-            }
-          }
-        }
-      }
-    }
-
     Engine& e_;
   };
 
   /// "frontier": serial computation of the round's activity mask
   /// (Slab::kActivityMask) -- fault-event vertices plus the channel's
-  /// conservative hearer superset of the transmit set -- and the word /
-  /// shard-block indices derived from it.  Only active in sparse rounds;
-  /// the dense dispatch never pays the bracket.
+  /// conservative hearer superset of the transmit set -- and the list of
+  /// its non-zero words.
   class FrontierStage final : public RoundStage {
    public:
     explicit FrontierStage(Engine& e) : e_(e) {}
@@ -191,8 +145,7 @@ struct EngineStages {
     SlabSet writes() const override {
       return slab_bit(Slab::kActivityMask);
     }
-    bool active(bool) const override { return e_.sparse_active_; }
-    void run(RoundState& rs) override {
+    void run_block(RoundState& rs, graph::Vertex, graph::Vertex) override {
       // Clear exactly last round's frontier words (the rest are already
       // zero), then refill for this round.
       auto fwords = e_.frontier_.words();
@@ -206,23 +159,11 @@ struct EngineStages {
         }
       }
       e_.channel_->fill_frontier(e_.transmitting_, e_.frontier_);
-
-      const std::size_t blocks =
-          rs.sharded ? (rs.vertex_count + rs.block_size - 1) / rs.block_size
-                     : 0;
-      if (rs.sharded) e_.block_active_.assign(blocks, 0);
       for (std::size_t w = 0; w < fwords.size(); ++w) {
-        if (fwords[w] == 0) continue;
-        e_.active_words_.push_back(w);
-        if (rs.sharded) e_.block_active_[(w * 64) / rs.block_size] = 1;
+        if (fwords[w] != 0) e_.active_words_.push_back(w);
       }
       if (e_.m_active_blocks_ != nullptr) {
         *e_.m_active_blocks_ += e_.active_words_.size();
-      }
-      if (e_.m_frontier_fraction_ != nullptr && !fwords.empty()) {
-        *e_.m_frontier_fraction_ =
-            static_cast<double>(e_.active_words_.size()) /
-            static_cast<double>(fwords.size());
       }
     }
 
@@ -231,8 +172,7 @@ struct EngineStages {
   };
 
   /// "prepare_round": the channel's serial staging of everything
-  /// transmit-set-dependent before the parallel reception fill.  Sharded
-  /// rounds only; the serial channel call fuses prepare into compute.
+  /// transmit-set-dependent before the (possibly parallel) compute.
   class ScheduleStage final : public RoundStage {
    public:
     explicit ScheduleStage(Engine& e) : e_(e) {}
@@ -241,8 +181,7 @@ struct EngineStages {
       return slab_bit(Slab::kTransmitBitmap);
     }
     SlabSet writes() const override { return 0; }
-    bool active(bool sharded) const override { return sharded; }
-    void run(RoundState& rs) override {
+    void run_block(RoundState& rs, graph::Vertex, graph::Vertex) override {
       e_.channel_->prepare_round(rs.round, e_.transmitting_);
     }
 
@@ -250,11 +189,13 @@ struct EngineStages {
     Engine& e_;
   };
 
-  /// "compute": reception physics, delegated to the channel model.  Fills
-  /// one packed heard word per vertex; the logical-metrics pass over the
-  /// frozen verdicts runs in after_phase (outside the timing bracket, and
-  /// before any spliced stage anchored behind this one -- counters tally
-  /// channel verdicts, not post-splice deliveries).
+  /// "compute": reception physics, delegated to the channel model.  Zeroes
+  /// and fills the packed heard words of the block's frontier words only;
+  /// entries outside them are stale by contract and never read.  The
+  /// logical-metrics pass over the frozen verdicts runs in after_phase
+  /// (outside the timing bracket, and before any spliced stage anchored
+  /// behind this one -- counters tally channel verdicts, not post-splice
+  /// deliveries).
   class ChannelStage final : public RoundStage {
    public:
     explicit ChannelStage(Engine& e) : e_(e) {}
@@ -266,56 +207,16 @@ struct EngineStages {
       return slab_bit(Slab::kHeardWords);
     }
     bool vertex_disjoint_writes() const override { return true; }
-    void run(RoundState& rs) override {
-      if (rs.sparse) {
-        // Dirty-word zeroing: only this round's frontier words are cleared
-        // and filled; entries outside them are stale by contract and never
-        // read (every reader is frontier-gated while sparse is active).
-        const std::size_t n = e_.heard_.size();
-        for (std::size_t w : e_.active_words_) {
-          const std::size_t lo = w * 64;
-          std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
-                    e_.heard_.begin() +
-                        static_cast<std::ptrdiff_t>(std::min(lo + 64, n)),
-                    0U);
-        }
-        e_.channel_->compute_frontier(rs.round, e_.transmitting_, e_.heard_,
-                                      e_.frontier_);
-        return;
-      }
-      std::fill(e_.heard_.begin(), e_.heard_.end(), 0U);
-      e_.channel_->compute_round(rs.round, e_.transmitting_, e_.heard_);
-    }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        // O(1) idle-block early-out, then zero + compute over maximal runs
-        // of frontier words inside the block (blocks own whole words).
-        if (e_.block_active_[begin / rs.block_size] == 0) return;
-        const auto fwords = e_.frontier_.words();
-        const std::size_t wb = begin / 64;
-        const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
-        std::size_t w = wb;
-        while (w < we) {
-          if (fwords[w] == 0) {
-            ++w;
-            continue;
-          }
-          std::size_t run_end = w + 1;
-          while (run_end < we && fwords[run_end] != 0) ++run_end;
-          const auto lo = static_cast<graph::Vertex>(w * 64);
-          const auto hi = std::min(
-              static_cast<graph::Vertex>(run_end * 64), end);
-          std::fill(e_.heard_.begin() + lo, e_.heard_.begin() + hi, 0U);
-          e_.channel_->compute_shard(rs.round, e_.transmitting_, e_.heard_,
-                                     lo, hi);
-          w = run_end;
-        }
-        return;
-      }
-      std::fill(e_.heard_.begin() + begin, e_.heard_.begin() + end, 0U);
-      e_.channel_->compute_shard(rs.round, e_.transmitting_, e_.heard_,
-                                 begin, end);
+      e_.frontier_.for_each_nonzero_run(
+          begin, end, [&](std::size_t lo, std::size_t hi) {
+            std::fill(e_.heard_.begin() + static_cast<std::ptrdiff_t>(lo),
+                      e_.heard_.begin() + static_cast<std::ptrdiff_t>(hi),
+                      0U);
+          });
+      e_.channel_->compute(rs.round, e_.transmitting_, e_.heard_,
+                           e_.frontier_, begin, end);
     }
     void after_phase(RoundState&) override { e_.record_logical_round(); }
 
@@ -325,7 +226,11 @@ struct EngineStages {
 
   /// "receive": hands every listener its verdict -- the decoded packet on
   /// a clean single-transmitter round (unless a spliced stage masked the
-  /// delivery), the null indicator otherwise.
+  /// delivery), the null indicator otherwise.  Frontier words get the
+  /// verdict loop, waking parked vertices on unmasked deliveries; other
+  /// words are visited only while some vertex's promise has expired, and
+  /// then only live vertices get the null reception -- without reading
+  /// their (stale) heard words.
   class ReceiveStage final : public RoundStage {
    public:
     explicit ReceiveStage(Engine& e) : e_(e) {}
@@ -339,131 +244,12 @@ struct EngineStages {
       return slab_bit(Slab::kRngStreams);
     }
     bool vertex_disjoint_writes() const override { return true; }
-    void run(RoundState& rs) override {
-      if (rs.sparse) {
-        // With silence observers attached the dense event stream mentions
-        // every listening vertex, so a full mask-aware pass (heard read
-        // through the frontier filter) reproduces it exactly; without
-        // them, only frontier and promise-expired words are visited.
-        if (!e_.obs_silence_.empty()) {
-          deliver_sparse_full(rs, 0,
-                              static_cast<graph::Vertex>(rs.vertex_count));
-        } else {
-          deliver_sparse(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-                         /*obs_rx=*/!e_.obs_receive_.empty());
-        }
-        return;
-      }
-      deliver(rs, 0, static_cast<graph::Vertex>(rs.vertex_count),
-              /*inline_obs=*/true);
-    }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        deliver_sparse(rs, begin, end, /*obs_rx=*/false);
-        return;
-      }
-      deliver(rs, begin, end, /*inline_obs=*/false);
-    }
-    void replay(RoundState& rs) override {
-      // Replays the reception observers serially from the frozen heard
-      // words: same verdicts, ascending vertex order, exactly the serial
-      // dispatch's stream.  In sparse rounds heard_ is read through the
-      // frontier filter -- entries outside frontier words are stale and
-      // stand for the 0 the dense path would have computed.
-      if (e_.obs_receive_.empty() && e_.obs_silence_.empty()) return;
-      const Round t = rs.round;
-      const auto n = static_cast<graph::Vertex>(rs.vertex_count);
-      const auto fwords = e_.frontier_.words();
-      for (graph::Vertex u = 0; u < n; ++u) {
-        if (e_.transmitting_.test(u)) continue;
-        if (rs.faults && e_.crashed_.test(u)) continue;
-        const std::uint64_t h =
-            (!rs.sparse || fwords[u >> 6] != 0) ? e_.heard_[u] : 0;
-        const auto count = static_cast<std::uint32_t>(h);
-        if (count == 1 && !masked(u)) {
-          const auto from = static_cast<graph::Vertex>(h >> 32);
-          for (Observer* obs : e_.obs_receive_) {
-            obs->on_receive(t, u, from, e_.outgoing_slab_[from]);
-          }
-        } else {
-          for (Observer* obs : e_.obs_silence_) {
-            obs->on_silence(t, u, /*collision=*/count > 1);
-          }
-        }
-      }
-    }
-    void epilogue(RoundState& rs) override {
-      if (e_.hooks_ != nullptr) e_.hooks_->after_receive_phase(rs.round);
-    }
-
-   private:
-    bool masked(graph::Vertex u) const {
-      return e_.deliver_masked_ && e_.delivery_mask_.test(u);
-    }
-
-    void deliver(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                 bool inline_obs) {
-      const Round t = rs.round;
-      const bool obs_rx = inline_obs && !e_.obs_receive_.empty();
-      const bool obs_sil = inline_obs && !e_.obs_silence_.empty();
-      for (graph::Vertex u = begin; u < end; ++u) {
-        if (e_.transmitting_.test(u)) continue;  // transmitters don't listen
-        if (rs.faults && e_.crashed_.test(u)) continue;
-        RoundContext ctx(t, e_.rngs_[u]);
-        const std::uint64_t h = e_.heard_[u];
-        const auto count = static_cast<std::uint32_t>(h);
-        if (count == 1 && !masked(u)) {
-          const auto from = static_cast<graph::Vertex>(h >> 32);
-          const Packet& packet = e_.outgoing_slab_[from];
-          if (obs_rx) {
-            for (Observer* obs : e_.obs_receive_) {
-              obs->on_receive(t, u, from, packet);
-            }
-          }
-          e_.processes_[u]->receive(packet, ctx);
-        } else {
-          if (obs_sil) {
-            for (Observer* obs : e_.obs_silence_) {
-              obs->on_silence(t, u, /*collision=*/count > 1);
-            }
-          }
-          e_.processes_[u]->receive(std::nullopt, ctx);
-        }
-      }
-    }
-
-    /// Wakes a parked vertex on a count==1 delivery: batched cursor
-    /// catch-up through round t-1, then the round-t transmit() call the
-    /// dense path would have made (the silent promise covers round t, so
-    /// it must return nullopt and draw no randomness), then unpark.
-    void wake(graph::Vertex u, Round t) {
-      if (e_.last_stepped_[u] < t - 1) {
-        e_.processes_[u]->silent_steps(t - 1 - e_.last_stepped_[u]);
-      }
-      RoundContext ctx(t, e_.rngs_[u]);
-      auto packet = e_.processes_[u]->transmit(ctx);
-      DG_ASSERT(!packet.has_value());  // the promise covered round t
-      (void)packet;
-      e_.last_stepped_[u] = t;
-      e_.silent_until_[u] = t - 1;
-      const std::size_t w = u >> 6;
-      // run_block owns whole words, so this write never races.
-      if (e_.word_silent_until_[w] > t - 1) e_.word_silent_until_[w] = t - 1;
-    }
-
-    /// Sparse dispatch without silence observers: frontier words get the
-    /// verdict loop (waking parked vertices on deliveries); non-frontier
-    /// words are visited only while some vertex's promise has expired, and
-    /// then only live vertices get the forced null reception -- without
-    /// reading their (stale) heard words.
-    void deliver_sparse(RoundState& rs, graph::Vertex begin, graph::Vertex end,
-                        bool obs_rx) {
       const Round t = rs.round;
       const auto fwords = e_.frontier_.words();
-      const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
-      for (std::size_t w = wb; w < we; ++w) {
+      for (std::size_t w = begin / 64; w < we; ++w) {
         const auto lo = static_cast<graph::Vertex>(w * 64);
         const auto hi = std::min(static_cast<graph::Vertex>(lo + 64), end);
         if (fwords[w] == 0) {
@@ -476,73 +262,103 @@ struct EngineStages {
           }
           continue;
         }
-        // Frontier word: every heard entry in it was zeroed and filled
-        // this round, so verdicts are read directly.
+        std::uint64_t delivered = 0;
         for (graph::Vertex u = lo; u < hi; ++u) {
-          if (e_.transmitting_.test(u)) continue;
+          if (e_.transmitting_.test(u)) continue;  // transmitters don't listen
           if (rs.faults && e_.crashed_.test(u)) continue;
           const std::uint64_t h = e_.heard_[u];
-          const auto count = static_cast<std::uint32_t>(h);
-          if (count == 1) {
+          if (static_cast<std::uint32_t>(h) == 1 && !masked(u)) {
+            delivered |= std::uint64_t{1} << (u - lo);
             if (e_.silent_until_[u] >= t) wake(u, t);
-            const auto from = static_cast<graph::Vertex>(h >> 32);
-            const Packet& packet = e_.outgoing_slab_[from];
-            if (obs_rx) {
-              for (Observer* obs : e_.obs_receive_) {
-                obs->on_receive(t, u, from, packet);
-              }
-            }
             RoundContext ctx(t, e_.rngs_[u]);
-            e_.processes_[u]->receive(packet, ctx);
+            e_.processes_[u]->receive(e_.outgoing_slab_[h >> 32], ctx);
           } else {
-            if (e_.silent_until_[u] >= t) continue;  // promised no-op
+            // A masked delivery is a null reception: inside a parked
+            // vertex's promise it is a no-op, so it does not wake.
+            if (e_.silent_until_[u] >= t) continue;
             RoundContext ctx(t, e_.rngs_[u]);
             e_.processes_[u]->receive(std::nullopt, ctx);
           }
         }
+        e_.delivered_.words()[w] = delivered;
       }
     }
-
-    /// Sparse dispatch with silence observers (serial rounds only): one
-    /// full ascending pass so the observer stream is the dense stream
-    /// event for event; process calls still honor the parked promises.
-    void deliver_sparse_full(RoundState& rs, graph::Vertex begin,
-                             graph::Vertex end) {
+    void replay(RoundState& rs) override {
+      // Fans the reception observers out from the frozen verdicts.  Every
+      // delivery lies in a frontier word, where run_block marked it, so
+      // without silence observers only those marks are visited; silence
+      // observers need the walk over every listening vertex (heard entries
+      // outside frontier words are stale and stand for 0).
+      if (e_.obs_receive_.empty() && e_.obs_silence_.empty()) return;
       const Round t = rs.round;
-      const bool obs_rx = !e_.obs_receive_.empty();
       const auto fwords = e_.frontier_.words();
-      for (graph::Vertex u = begin; u < end; ++u) {
+      const auto dwords = e_.delivered_.words();
+      const auto receive = [&](graph::Vertex u) {
+        const auto from = static_cast<graph::Vertex>(e_.heard_[u] >> 32);
+        for (Observer* obs : e_.obs_receive_) {
+          obs->on_receive(t, u, from, e_.outgoing_slab_[from]);
+        }
+      };
+      if (e_.obs_silence_.empty()) {
+        for (std::size_t w : e_.active_words_) {
+          for (std::uint64_t bits = dwords[w]; bits != 0; bits &= bits - 1) {
+            receive(static_cast<graph::Vertex>(w * 64 +
+                                               std::countr_zero(bits)));
+          }
+        }
+        return;
+      }
+      for (graph::Vertex u = 0; u < rs.vertex_count; ++u) {
         if (e_.transmitting_.test(u)) continue;
         if (rs.faults && e_.crashed_.test(u)) continue;
-        const std::uint64_t h = fwords[u >> 6] != 0 ? e_.heard_[u] : 0;
-        const auto count = static_cast<std::uint32_t>(h);
-        if (count == 1) {
-          if (e_.silent_until_[u] >= t) wake(u, t);
-          const auto from = static_cast<graph::Vertex>(h >> 32);
-          const Packet& packet = e_.outgoing_slab_[from];
-          if (obs_rx) {
-            for (Observer* obs : e_.obs_receive_) {
-              obs->on_receive(t, u, from, packet);
-            }
-          }
-          RoundContext ctx(t, e_.rngs_[u]);
-          e_.processes_[u]->receive(packet, ctx);
-        } else {
-          for (Observer* obs : e_.obs_silence_) {
-            obs->on_silence(t, u, /*collision=*/count > 1);
-          }
-          if (e_.silent_until_[u] >= t) continue;  // promised no-op
-          RoundContext ctx(t, e_.rngs_[u]);
-          e_.processes_[u]->receive(std::nullopt, ctx);
+        const std::size_t w = u >> 6;
+        if (fwords[w] != 0 && ((dwords[w] >> (u & 63)) & 1) != 0) {
+          receive(u);
+          continue;
+        }
+        const bool collision =
+            fwords[w] != 0 && static_cast<std::uint32_t>(e_.heard_[u]) > 1;
+        for (Observer* obs : e_.obs_silence_) {
+          obs->on_silence(t, u, collision);
         }
       }
+    }
+    void epilogue(RoundState& rs) override {
+      if (e_.hooks_ != nullptr) e_.hooks_->after_receive_phase(rs.round);
+    }
+
+   private:
+    bool masked(graph::Vertex u) const {
+      return e_.deliver_masked_ && e_.delivery_mask_.test(u);
+    }
+
+    /// Wakes a parked vertex on a delivery: batched cursor catch-up
+    /// through round t-1, then the round-t transmit() call a per-round
+    /// step would have made (the silent promise covers round t, so it must
+    /// return nullopt and draw no randomness), then unpark.
+    void wake(graph::Vertex u, Round t) {
+      if (e_.last_stepped_[u] < t - 1) {
+        e_.processes_[u]->silent_steps(t - 1 - e_.last_stepped_[u]);
+      }
+      RoundContext ctx(t, e_.rngs_[u]);
+      auto packet = e_.processes_[u]->transmit(ctx);
+      DG_ASSERT(!packet.has_value());  // the promise covered round t
+      (void)packet;
+      e_.last_stepped_[u] = t;
+      e_.silent_until_[u] = t - 1;
+      const std::size_t w = u >> 6;
+      // Blocks own whole words, so this write never races.
+      if (e_.word_silent_until_[w] > t - 1) e_.word_silent_until_[w] = t - 1;
     }
 
     Engine& e_;
   };
 
   /// "output_flush": per-vertex end_round outputs, then the wrapper
-  /// checkpoint.
+  /// checkpoint.  Parked vertices promised a no-op end_round, so whole
+  /// parked words are skipped; every stepped vertex is asked for a fresh
+  /// silent promise (silent_steps(0)), and the word minimum is recomputed
+  /// so fully-parked words vanish from next round's passes.
   class OutputFlushStage final : public RoundStage {
    public:
     explicit OutputFlushStage(Engine& e) : e_(e) {}
@@ -554,45 +370,11 @@ struct EngineStages {
       return slab_bit(Slab::kRngStreams);
     }
     bool vertex_disjoint_writes() const override { return true; }
-    void run(RoundState& rs) override {
-      if (rs.sparse) {
-        flush_sparse(rs, 0, static_cast<graph::Vertex>(rs.vertex_count));
-        return;
-      }
-      flush(rs, 0, static_cast<graph::Vertex>(rs.vertex_count));
-    }
     void run_block(RoundState& rs, graph::Vertex begin,
                    graph::Vertex end) override {
-      if (rs.sparse) {
-        flush_sparse(rs, begin, end);
-        return;
-      }
-      flush(rs, begin, end);
-    }
-    void epilogue(RoundState& rs) override {
-      if (e_.hooks_ != nullptr) e_.hooks_->after_output_phase(rs.round);
-    }
-
-   private:
-    void flush(RoundState& rs, graph::Vertex begin, graph::Vertex end) {
       const Round t = rs.round;
-      for (graph::Vertex v = begin; v < end; ++v) {
-        if (rs.faults && e_.crashed_.test(v)) continue;
-        RoundContext ctx(t, e_.rngs_[v]);
-        e_.processes_[v]->end_round(ctx);
-      }
-    }
-
-    /// Sparse dispatch: parked vertices promised a no-op end_round, so
-    /// whole parked words are skipped; every stepped vertex is asked for a
-    /// fresh silent promise (silent_steps(0)), and the word minimum is
-    /// recomputed so fully-parked words vanish from next round's passes.
-    void flush_sparse(RoundState& rs, graph::Vertex begin,
-                      graph::Vertex end) {
-      const Round t = rs.round;
-      const std::size_t wb = begin / 64;
       const std::size_t we = (static_cast<std::size_t>(end) + 63) / 64;
-      for (std::size_t w = wb; w < we; ++w) {
+      for (std::size_t w = begin / 64; w < we; ++w) {
         if (e_.word_silent_until_[w] >= t) continue;
         const auto lo = static_cast<graph::Vertex>(w * 64);
         const auto hi = std::min(static_cast<graph::Vertex>(lo + 64), end);
@@ -613,7 +395,11 @@ struct EngineStages {
         e_.word_silent_until_[w] = word_min;
       }
     }
+    void epilogue(RoundState& rs) override {
+      if (e_.hooks_ != nullptr) e_.hooks_->after_output_phase(rs.round);
+    }
 
+   private:
     Engine& e_;
   };
 
@@ -670,17 +456,23 @@ void Engine::init(std::uint64_t master_seed) {
   outgoing_slab_.resize(processes_.size());
   transmitting_.resize(processes_.size());
   heard_.resize(processes_.size());
+  delivered_.resize(processes_.size());
   crashed_.resize(processes_.size());
   delivery_mask_.resize(processes_.size());
+
+  // Nobody parked yet: every cursor sits at round 0.
+  frontier_.resize(processes_.size());
+  last_stepped_.assign(processes_.size(), 0);
+  silent_until_.assign(processes_.size(), 0);
+  word_silent_until_.assign(frontier_.word_count(), 0);
 
   all_shard_safe_ =
       std::all_of(processes_.begin(), processes_.end(),
                   [](const auto& p) { return p->shard_safe(); });
   round_threads_ = default_round_threads();
-  sparse_enabled_ = default_sparse_rounds();
 
   // The core pipeline.  The on_round_begin fan-out rides on the transmit
-  // slot so fault events keep preceding it, as the monolithic loop did.
+  // slot so fault events keep preceding it.
   stages_ = std::make_unique<EngineStages>(*this);
   pipeline_.append(&stages_->fault);
   pipeline_.append(&stages_->transmit, /*round_begin_before=*/true);
@@ -689,7 +481,6 @@ void Engine::init(std::uint64_t master_seed) {
   pipeline_.append(&stages_->channel);
   pipeline_.append(&stages_->receive);
   pipeline_.append(&stages_->output);
-  update_sparse_support();
 }
 
 std::size_t Engine::default_round_threads() {
@@ -705,73 +496,12 @@ std::size_t Engine::default_round_threads() {
   return static_cast<std::size_t>(parsed);
 }
 
-bool Engine::default_sparse_rounds() {
-  const char* env = std::getenv("DG_SPARSE_ROUNDS");
-  if (env == nullptr || *env == '\0') return true;
-  const std::string_view v(env);
-  return !(v == "0" || v == "off" || v == "false");
-}
-
-void Engine::set_sparse_rounds(bool on) {
-  configure(EngineConfig{}.with_sparse_rounds(on));
-}
-
-void Engine::apply_sparse_rounds(bool on) {
-  if (on == sparse_enabled_) return;
-  if (!on) flush_parked();  // dense dispatch steps everyone from now on
-  sparse_enabled_ = on;
-  update_sparse_support();
-  // Dense rounds may have run since the bookkeeping was last valid.
-  if (sparse_supported_) reset_sparse_state();
-}
-
-void Engine::update_sparse_support() {
-  sparse_supported_ = sparse_enabled_ && channel_->frontier_capable() &&
-                      splices_.empty();
-  if (sparse_supported_ && frontier_.size() != processes_.size()) {
-    frontier_.resize(processes_.size());
-    reset_sparse_state();
-  }
-}
-
-void Engine::reset_sparse_state() {
-  const std::size_t n = processes_.size();
-  last_stepped_.assign(n, round_);
-  silent_until_.assign(n, round_);
-  const bool faults = fault_plan_ != nullptr;
-  if (faults) {
-    crashed_.for_each_set(
-        [&](std::size_t v) { silent_until_[v] = kParkedForever; });
-  }
-  word_silent_until_.assign(frontier_.word_count(), round_);
-  frontier_.clear();
-  active_words_.clear();
-}
-
-void Engine::flush_parked() {
-  // Only meaningful while the bookkeeping is current (sparse rounds were
-  // eligible to run); after dense-only stretches the vectors are stale and
-  // reset_sparse_state() re-syncs them if sparse ever re-engages.
-  if (!sparse_supported_ || last_stepped_.empty()) return;
-  const bool faults = fault_plan_ != nullptr;
-  const auto n = static_cast<graph::Vertex>(processes_.size());
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (faults && crashed_.test(v)) continue;  // cursor rewritten on recover
-    if (last_stepped_[v] >= round_) continue;
-    // Every round in (last_stepped_, round_] sat inside v's silent promise
-    // and delivered nothing, so one batched jump lands exactly where dense
-    // stepping would have.
-    processes_[v]->silent_steps(round_ - last_stepped_[v]);
-    last_stepped_[v] = round_;
-  }
-  reset_sparse_state();
-}
-
 void Engine::configure(const EngineConfig& config) {
-  if (config.round_threads != 0) apply_round_threads(config.round_threads);
-  if (config.has_sparse_rounds) apply_sparse_rounds(config.sparse_rounds);
+  if (config.round_threads != 0) round_threads_ = config.round_threads;
   if (config.has_fault_plan) {
-    apply_fault_plan(config.fault_plan, config.fault_listener);
+    fault_plan_ = config.fault_plan;
+    fault_listener_ = fault_plan_ != nullptr ? config.fault_listener : nullptr;
+    if (fault_plan_ != nullptr) fault_plan_->bind(*graph_, master_seed_);
   }
   for (const SpliceSpec& spec : config.splices) {
     const std::string err = splice_stage(spec);
@@ -790,28 +520,9 @@ std::string Engine::splice_stage(const SpliceSpec& spec) {
   pipeline_.insert_after(splice_anchor(spec),
                          build_splice_stage(spec, processes_.size()));
   splices_ = std::move(all);
-  // Spliced stages read heard_ over every vertex, so the sparse dispatch
-  // must stand down: catch parked processes up first, while the promises
-  // still cover the skipped rounds.
-  flush_parked();
-  update_sparse_support();
   // Telemetry installed first: give the new stage its timing slot.
   if (registry_ != nullptr) rebuild_profiler();
   return "";
-}
-
-void Engine::set_round_threads(std::size_t threads) {
-  configure(EngineConfig{}.with_round_threads(threads));
-}
-
-void Engine::apply_round_threads(std::size_t threads) {
-  DG_EXPECTS(threads >= 1);
-  round_threads_ = threads;
-  // Re-poll consent: a wrapper may have reconfigured its listener fan-out
-  // (e.g. LbSimulation's buffered mode) since init(), changing the answer.
-  all_shard_safe_ =
-      std::all_of(processes_.begin(), processes_.end(),
-                  [](const auto& p) { return p->shard_safe(); });
 }
 
 std::size_t Engine::shard_block_size() const {
@@ -832,10 +543,6 @@ void Engine::add_observer(Observer* observer) {
   if (mask & Observer::kFault) obs_fault_.push_back(observer);
 }
 
-void Engine::set_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
-  configure(EngineConfig{}.with_telemetry(registry, sink));
-}
-
 void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
   registry_ = registry;
   trace_sink_ = registry != nullptr ? sink : nullptr;
@@ -845,7 +552,6 @@ void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
     m_crashes_ = m_recoveries_ = nullptr;
     m_dispatch_serial_ = m_dispatch_sharded_ = nullptr;
     m_active_blocks_ = nullptr;
-    m_frontier_fraction_ = nullptr;
     m_tx_per_round_ = nullptr;
     return;
   }
@@ -868,13 +574,10 @@ void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
       &registry->counter("engine.dispatch.serial", Domain::kTiming);
   m_dispatch_sharded_ =
       &registry->counter("engine.dispatch.sharded", Domain::kTiming);
-  // Sparse-dispatch instrumentation also lives in the timing domain: it
-  // advances only when the sparse path runs, and logical dumps must stay
-  // byte-identical across sparse-on/off.
+  // Frontier words visited per round, summed (the name predates the
+  // count's unit); a dispatch cost, so also timing-domain.
   m_active_blocks_ =
       &registry->counter("engine.active_blocks", Domain::kTiming);
-  m_frontier_fraction_ =
-      &registry->gauge("engine.frontier_fraction", Domain::kTiming);
   registry->gauge("engine.round_threads", Domain::kTiming) =
       static_cast<double>(round_threads_);
   registry->gauge("engine.vertices", Domain::kLogical) =
@@ -906,43 +609,26 @@ void Engine::record_logical_round() {
   *m_tx_ += tx;
   m_tx_per_round_->record(static_cast<double>(tx));
   const bool faults = fault_plan_ != nullptr;
-  const auto n = static_cast<graph::Vertex>(processes_.size());
   std::uint64_t delivered = 0, collisions = 0, silent = 0;
-  if (sparse_active_) {
-    // Mask-aware tally, byte-identical to the dense pass below: frontier
-    // words read their (fresh) heard entries; every live non-transmitter
-    // in a non-frontier word heard nothing by construction, so whole
-    // words tally as silence via popcounts without touching stale heard_.
-    const auto fwords = frontier_.words();
-    const auto twords = transmitting_.words();
-    const auto cwords = crashed_.words();
-    for (std::size_t w = 0; w < fwords.size(); ++w) {
-      std::uint64_t live = transmitting_.word_mask(w) & ~twords[w];
-      if (faults) live &= ~cwords[w];
-      if (fwords[w] == 0) {
-        silent += static_cast<std::uint64_t>(std::popcount(live));
-        continue;
-      }
-      while (live != 0) {
-        const int b = std::countr_zero(live);
-        live &= live - 1;
-        const auto count =
-            static_cast<std::uint32_t>(heard_[w * 64 +
-                                              static_cast<std::size_t>(b)]);
-        if (count == 1) {
-          ++delivered;
-        } else if (count > 1) {
-          ++collisions;
-        } else {
-          ++silent;
-        }
-      }
+  // Frontier words read their (fresh) heard entries; every live
+  // non-transmitter in a non-frontier word heard nothing by construction,
+  // so whole words tally as silence via popcounts without touching stale
+  // heard_.
+  const auto fwords = frontier_.words();
+  const auto twords = transmitting_.words();
+  const auto cwords = crashed_.words();
+  for (std::size_t w = 0; w < fwords.size(); ++w) {
+    std::uint64_t live = transmitting_.word_mask(w) & ~twords[w];
+    if (faults) live &= ~cwords[w];
+    if (fwords[w] == 0) {
+      silent += static_cast<std::uint64_t>(std::popcount(live));
+      continue;
     }
-  } else {
-    for (graph::Vertex u = 0; u < n; ++u) {
-      if (transmitting_.test(u)) continue;
-      if (faults && crashed_.test(u)) continue;
-      const auto count = static_cast<std::uint32_t>(heard_[u]);
+    while (live != 0) {
+      const int b = std::countr_zero(live);
+      live &= live - 1;
+      const auto count = static_cast<std::uint32_t>(
+          heard_[w * 64 + static_cast<std::size_t>(b)]);
       if (count == 1) {
         ++delivered;
       } else if (count > 1) {
@@ -972,18 +658,6 @@ Rng& Engine::process_rng(graph::Vertex v) {
   return rngs_[v];
 }
 
-void Engine::set_fault_plan(fault::FaultPlan* plan,
-                            fault::FaultListener* listener) {
-  configure(EngineConfig{}.with_fault_plan(plan, listener));
-}
-
-void Engine::apply_fault_plan(fault::FaultPlan* plan,
-                              fault::FaultListener* listener) {
-  fault_plan_ = plan;
-  fault_listener_ = plan != nullptr ? listener : nullptr;
-  if (plan != nullptr) plan->bind(*graph_, master_seed_);
-}
-
 void Engine::apply_faults(Round t) {
   if (fault_plan_ == nullptr) return;
   fault_events_.clear();
@@ -992,18 +666,15 @@ void Engine::apply_faults(Round t) {
     DG_EXPECTS(ev.vertex < processes_.size());
     if (ev.kind == fault::FaultKind::kCrash) {
       if (crashed_.test(ev.vertex)) continue;  // idempotent
-      if (sparse_supported_) {
-        // Catch a parked vertex up through t-1 first, so the listener and
-        // on_crash() see exactly the state dense stepping would have left
-        // (all skipped rounds sat inside the silent promise).  The vertex
-        // then parks forever; recovery below unparks it.
-        if (last_stepped_[ev.vertex] < t - 1) {
-          processes_[ev.vertex]->silent_steps(t - 1 -
-                                              last_stepped_[ev.vertex]);
-        }
-        last_stepped_[ev.vertex] = t - 1;
-        silent_until_[ev.vertex] = kParkedForever;
+      // Catch a parked vertex up through t-1 first, so the listener and
+      // on_crash() see exactly the state per-round stepping would have
+      // left (all skipped rounds sat inside the silent promise).  The
+      // vertex then parks forever; recovery below unparks it.
+      if (last_stepped_[ev.vertex] < t - 1) {
+        processes_[ev.vertex]->silent_steps(t - 1 - last_stepped_[ev.vertex]);
       }
+      last_stepped_[ev.vertex] = t - 1;
+      silent_until_[ev.vertex] = kParkedForever;
       crashed_.set(ev.vertex);
       // Listener first: it may read pre-crash process state (e.g. abort
       // the in-flight broadcast) before on_crash wipes it.
@@ -1014,14 +685,12 @@ void Engine::apply_faults(Round t) {
       if (trace_sink_ != nullptr) trace_sink_->crash(t, ev.vertex);
     } else {
       if (!crashed_.test(ev.vertex)) continue;  // idempotent
-      if (sparse_supported_) {
-        // Unpark: the recovered vertex steps from round t (on_recover
-        // rewrites its cursor from the absolute round, so no catch-up).
-        last_stepped_[ev.vertex] = t - 1;
-        silent_until_[ev.vertex] = t - 1;
-        const std::size_t w = ev.vertex >> 6;
-        if (word_silent_until_[w] > t - 1) word_silent_until_[w] = t - 1;
-      }
+      // Unpark: the recovered vertex steps from round t (on_recover
+      // rewrites its cursor from the absolute round, so no catch-up).
+      last_stepped_[ev.vertex] = t - 1;
+      silent_until_[ev.vertex] = t - 1;
+      const std::size_t w = ev.vertex >> 6;
+      if (word_silent_until_[w] > t - 1) word_silent_until_[w] = t - 1;
       crashed_.reset(ev.vertex);
       // Process first: the listener talks to a re-initialized process.
       processes_[ev.vertex]->on_recover(t);
@@ -1036,42 +705,37 @@ void Engine::apply_faults(Round t) {
 }
 
 void Engine::run_round() {
-  if (round_threads_ > 1 && all_shard_safe_ && channel_->shardable()) {
-    const std::size_t block_size = shard_block_size();
-    const std::size_t blocks =
-        (processes_.size() + block_size - 1) / block_size;
-    if (blocks >= 2) {
-      if (pool_ == nullptr || pool_->threads() != round_threads_) {
-        pool_ = std::make_unique<util::ThreadPool>(round_threads_);
-        // Channels may shard their serial-section precomputes (e.g. the
-        // SINR far field) over the same pool; it is idle whenever the
-        // engine calls into the channel serially.
-        channel_->set_round_pool(pool_.get());
-      }
-      run_pipeline(/*sharded=*/true, block_size, blocks);
-      return;
+  // One block covering every vertex, inline on the caller, unless the cap,
+  // the processes' consent and the vertex count allow two or more.
+  const std::size_t n = processes_.size();
+  if (round_threads_ > 1 && all_shard_safe_ && n > shard_block_size()) {
+    if (pool_ == nullptr || pool_->threads() != round_threads_) {
+      pool_ = std::make_unique<util::ThreadPool>(round_threads_);
+      // Channels may shard their serial-section precomputes (e.g. the
+      // SINR far field) over the same pool; it is idle whenever the
+      // engine calls into the channel serially.
+      channel_->set_round_pool(pool_.get());
     }
+    run_pipeline(shard_block_size());
+  } else {
+    run_pipeline(std::max<std::size_t>(n, 1));
   }
-  run_pipeline(/*sharded=*/false, 0, 0);
 }
 
-void Engine::run_pipeline(bool sharded, std::size_t block_size,
-                          std::size_t blocks) {
+void Engine::run_pipeline(std::size_t block_size) {
   const Round t = ++round_;
+  const std::size_t blocks = (processes_.size() + block_size - 1) / block_size;
+  const bool sharded = blocks > 1;
   if (profiler_ != nullptr) {
     profiler_->begin_round(t);
     *(sharded ? m_dispatch_sharded_ : m_dispatch_serial_) += 1;
   }
   deliver_masked_ = false;
-  sparse_active_ = sparse_supported_;
 
   RoundState rs;
   rs.round = t;
   rs.faults = fault_plan_ != nullptr;
-  rs.sharded = sharded;
-  rs.sparse = sparse_active_;
   rs.vertex_count = processes_.size();
-  rs.block_size = block_size;
   rs.transmitting = &transmitting_;
   rs.packets = &outgoing_slab_;
   rs.heard = &heard_;
@@ -1085,17 +749,21 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
   // Every pool dispatch of the round funnels through this wrapper so the
   // profiler can total the parallel-section wall clock (the utilization
   // numerator) without instrumenting the pool itself.
-  const auto pooled = [&](auto&& fn) {
-    if (profiler_ == nullptr) {
-      pool_->for_blocks(blocks, fn);
-      return;
-    }
+  const auto n = static_cast<graph::Vertex>(processes_.size());
+  const auto run_blocks = [&](RoundStage& stage) {
     const auto start = std::chrono::steady_clock::now();
-    pool_->for_blocks(blocks, fn);
-    profiler_->add_parallel_ns(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+    pool_->for_blocks(blocks, [&](std::size_t b) {
+      const auto begin = static_cast<graph::Vertex>(b * block_size);
+      const auto end = static_cast<graph::Vertex>(
+          std::min(b * block_size + block_size, processes_.size()));
+      stage.run_block(rs, begin, end);
+    });
+    if (profiler_ != nullptr) {
+      profiler_->add_parallel_ns(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()));
+    }
   };
 
   for (const RoundPipeline::Slot& slot : pipeline_.slots()) {
@@ -1105,25 +773,20 @@ void Engine::run_pipeline(bool sharded, std::size_t block_size,
       }
     }
     RoundStage& stage = *slot.stage;
-    if (!stage.active(sharded)) continue;
-    // Dispatch by declaration: a stage whose writes are vertex-disjoint
-    // runs block-parallel in sharded rounds (blocks write disjoint state,
-    // so determinism is structural); everything else runs serial.
-    const bool parallel = sharded && stage.vertex_disjoint_writes();
+    if (!stage.active()) continue;
     {
       obs::ScopedPhase phase(profiler_.get(), slot.profile_slot);
       stage.prologue(rs);
-      if (parallel) {
-        pooled([&](std::size_t b) {
-          const auto begin = static_cast<graph::Vertex>(b * block_size);
-          const auto end = static_cast<graph::Vertex>(
-              std::min(b * block_size + block_size, processes_.size()));
-          stage.run_block(rs, begin, end);
-        });
-        stage.replay(rs);
+      // Dispatch by declaration: a stage whose writes are vertex-disjoint
+      // runs its blocks on the pool in sharded rounds (blocks write
+      // disjoint state, so determinism is structural); every other body
+      // runs once, inline, over all vertices.
+      if (sharded && stage.vertex_disjoint_writes()) {
+        run_blocks(stage);
       } else {
-        stage.run(rs);
+        stage.run_block(rs, 0, n);
       }
+      stage.replay(rs);
       stage.epilogue(rs);
     }
     stage.after_phase(rs);

@@ -24,34 +24,33 @@
 // phys/channel.h for the contract).  None of this changes the observable
 // round semantics (tests/determinism_test.cpp pins golden execution
 // digests).
-// Sharded rounds: when round_threads > 1, every process is shard_safe()
-// and the channel is shardable(), run_round() partitions the vertices into
-// cache-aligned blocks (multiples of 64 vertices, so each block owns whole
-// transmit-bitmap words) and runs the transmit, reception and output phases
-// block-parallel on a persistent thread pool.  Determinism is preserved
-// structurally, not by scheduling: blocks write disjoint per-vertex state,
-// each vertex draws only from its own rng stream, the channel's sharded
-// reception writes only its own receiver range, and observers are fanned
-// out *serially* between the phases in ascending vertex order -- the exact
-// event stream of the serial loop.  Golden digests and campaign counters
-// are therefore byte-identical at any thread count
-// (tests/engine_shard_test.cpp sweeps the contract).
-// Fault injection: an installed fault::FaultPlan is consulted serially at
-// the top of every round (both loops), before any parallel phase starts.
-// Crashed vertices are skipped in the transmit, reception and output
-// phases -- no process calls, no observer events, rng stream paused -- so
-// a fault schedule stays byte-identical across round_threads too.
-//
-// Round pipeline: internally the round is an explicit stage pipeline
-// (fault -> transmit -> prepare_round -> compute -> receive ->
+// One round dispatch: every round runs the same frontier-driven block loop
+// (fault -> transmit -> frontier -> prepare_round -> compute -> receive ->
 // output_flush; see sim/stage.h for the stage contract and
-// docs/PIPELINE.md for the slab catalog).  One driver, run_pipeline(),
-// serves both dispatches: a stage declaring vertex_disjoint_writes() runs
-// block-parallel in sharded rounds, everything else serial, and the
-// serial-replay / RoundHooks checkpoints are stage hooks.  Scenario
-// splices (sim/splice.h) insert extra stages after their anchor without
-// engine edits; their write sets are validated against the core stages'
-// slab ownership first (see splice_stage()).
+// docs/PIPELINE.md for the slab catalog).  The frontier stage marks every
+// vertex that could hear anything this round, so compute and receive visit
+// only those 64-vertex words, and processes that promise silence
+// (Process::silent_steps) are parked instead of stepped.  When
+// round_threads > 1, every process is shard_safe() and the vertex count
+// yields at least two cache-aligned blocks (multiples of 64 vertices, so
+// each block owns whole bitmap words), the vertex-disjoint stages run
+// their blocks on a persistent thread pool; otherwise one block covering
+// every vertex runs inline on the caller.  Determinism is structural, not
+// scheduled: blocks write disjoint per-vertex state, each vertex draws
+// only from its own rng stream, the channel's reception writes only its
+// own receiver range, and observers are always fanned out serially by
+// each stage's replay() in ascending vertex order.  Golden digests and
+// campaign counters are therefore byte-identical at any thread count
+// (tests/engine_shard_test.cpp sweeps the contract and pins it to goldens
+// recorded from the former dense dispatch).
+// Fault injection: an installed fault::FaultPlan is consulted serially at
+// the top of every round, before any block runs.  Crashed vertices are
+// parked forever -- no process calls, no observer events, rng stream
+// paused -- so a fault schedule stays byte-identical across round_threads
+// too.
+// Scenario splices (sim/splice.h) insert extra stages after their anchor
+// without engine edits; their write sets are validated against the core
+// stages' slab ownership first (see splice_stage()).
 #pragma once
 
 #include <cstdint>
@@ -83,11 +82,11 @@ namespace dg::sim {
 std::vector<ProcessId> assign_ids(std::size_t n, std::uint64_t seed);
 
 /// Serial checkpoints between the phases of a round, fired on the engine's
-/// calling thread in both the serial and the sharded round loop.  Protocol
-/// wrappers that buffer per-vertex callbacks during the (possibly parallel)
-/// reception and output phases flush them here, in ascending vertex order,
-/// to reproduce the serial loop's callback stream exactly (see
-/// lb/simulation.h for the LbSimulation fan-out that motivates this).
+/// calling thread every round.  Protocol wrappers that buffer per-vertex
+/// callbacks during the (possibly parallel) reception and output phases
+/// flush them here, in ascending vertex order, so the callback stream does
+/// not depend on the thread count (see lb/simulation.h for the
+/// LbSimulation fan-out that motivates this).
 class RoundHooks {
  public:
   virtual ~RoundHooks() = default;
@@ -121,11 +120,26 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
   ~Engine();
 
-  /// Applies a whole configuration in one call, in a fixed order: thread
-  /// cap, fault plan, spliced stages, telemetry (splices first so the
-  /// profiler registers their per-stage timers).  The preferred mutator
-  /// surface; the individual setters below forward here.  Splices must
-  /// have passed validate_splice_specs().
+  /// Applies a configuration, in a fixed order: thread cap, fault plan,
+  /// spliced stages, telemetry (splices first so the profiler registers
+  /// their per-stage timers).  Each piece applies only if set.  Splices
+  /// must have passed validate_splice_specs().
+  ///
+  /// The thread cap (>= 1) is an upper bound, never a semantics switch:
+  /// rounds run as one inline block whenever the vertex count yields fewer
+  /// than two blocks or a process is not shard_safe().  A fault plan is
+  /// bound to the execution's graph and master seed here, then consulted
+  /// serially at the top of every subsequent round; its listener
+  /// (optional) receives crash/recover notifications for wrapper-level
+  /// bookkeeping -- before Process::on_crash on a crash, after
+  /// Process::on_recover on a recovery (see fault/plan.h).  Telemetry: the
+  /// registry receives LOGICAL per-round counters (rounds, transmissions,
+  /// delivery/collision/silence verdicts, fault events) that are
+  /// byte-identical across round_threads -- tallied in a serial pass over
+  /// the channel's verdicts -- plus TIMING phase/dispatch metrics that are
+  /// wall-clock and never gated; the sink receives per-round stage slices
+  /// and crash/recover instants.  Plans, listeners, registries and sinks
+  /// must outlive the engine.
   void configure(const EngineConfig& config);
 
   /// Splices one extra stage into the round pipeline after its anchor
@@ -162,65 +176,15 @@ class Engine {
   /// = that many threads, unset/invalid = 1).
   static std::size_t default_round_threads();
 
-  /// Whether new engines start with activity-driven sparse rounds enabled:
-  /// the DG_SPARSE_ROUNDS environment variable ("0"/"off"/"false" disables;
-  /// anything else, including unset, enables).
-  static bool default_sparse_rounds();
-
-  /// Enables/disables activity-driven sparse rounds (frontier masks,
-  /// dirty-word heard_ zeroing, batched silent steps; see docs/PIPELINE.md).
-  /// Like round_threads, the knob is an upper bound, never a semantics
-  /// switch: the engine falls back to the dense dispatch whenever the
-  /// channel cannot bound the frontier (frontier_capable() false) or a
-  /// spliced stage is installed (splices read heard_ over every vertex),
-  /// and results are byte-identical either way.  Disabling mid-run flushes
-  /// parked processes (batched silent_steps catch-up) first.
-  /// Deprecated forwarder for configure().
-  void set_sparse_rounds(bool on);
-  bool sparse_rounds() const noexcept { return sparse_enabled_; }
-  /// True when the next round will take the sparse dispatch.
-  bool sparse_rounds_active() const noexcept { return sparse_supported_; }
-
-  /// Caps the threads a round may use (>= 1; 1 = the serial loop).  The
-  /// engine still falls back to the serial loop whenever the vertex count
-  /// yields fewer than two blocks, a process is not shard_safe() or the
-  /// channel is not shardable() -- the knob is an upper bound, never a
-  /// semantics switch (results are byte-identical for every value).
-  /// Deprecated forwarder for configure(); new call sites should build an
-  /// EngineConfig.
-  void set_round_threads(std::size_t threads);
   std::size_t round_threads() const noexcept { return round_threads_; }
-
-  /// Installs a fault plan (nullptr to remove): the plan is bound to the
-  /// execution's graph and master seed here, then consulted serially at
-  /// the top of every subsequent round.  `listener` (optional) receives
-  /// crash/recover notifications for wrapper-level bookkeeping -- before
-  /// Process::on_crash on a crash, after Process::on_recover on a
-  /// recovery (see fault/plan.h).  Both must outlive the engine.
-  /// Deprecated forwarder for configure().
-  void set_fault_plan(fault::FaultPlan* plan,
-                      fault::FaultListener* listener = nullptr);
 
   /// True while vertex v is crashed by the installed fault plan.
   bool crashed(graph::Vertex v) const { return crashed_.test(v); }
   /// Crashed vertices this round (count() for a population probe).
   const Bitmap& crashed_vertices() const noexcept { return crashed_; }
 
-  /// Installs telemetry (both nullptr to remove; they must outlive the
-  /// engine).  The registry receives LOGICAL per-round counters (rounds,
-  /// transmissions, delivery/collision/silence verdicts, fault events) that
-  /// are byte-identical across round_threads -- they are tallied in a
-  /// serial pass over the channel's verdicts in both round loops -- plus
-  /// TIMING phase/dispatch metrics that are wall-clock and never gated.
-  /// The sink receives per-round stage slices and crash/recover instants.
-  /// Deprecated forwarder for configure().
-  void set_telemetry(obs::Registry* registry,
-                     obs::TraceSink* sink = nullptr);
-
   /// Installs the serial between-phase checkpoints (nullptr to remove).
-  /// The hooks object must outlive the engine and is fired by both round
-  /// loops, so wrappers can keep buffering enabled regardless of which
-  /// path a given round takes.
+  /// The hooks object must outlive the engine.
   void set_round_hooks(RoundHooks* hooks) { hooks_ = hooks; }
 
   /// Executes one synchronous round (steps 2-4 of the round structure;
@@ -253,50 +217,28 @@ class Engine {
   /// bitmap words and exclusive heard_ cache lines.
   std::size_t shard_block_size() const;
 
-  /// The one round driver (both dispatches): walks the pipeline slots in
-  /// order, bracketing each active stage with its profiler slot and
-  /// dispatching vertex-disjoint-write stages block-parallel when
-  /// `sharded` (block_size/blocks describe the partition; unused serial).
-  void run_pipeline(bool sharded, std::size_t block_size,
-                    std::size_t blocks);
+  /// The one round driver: walks the pipeline slots in order, bracketing
+  /// each active stage with its profiler slot; a vertex-disjoint stage
+  /// runs its blocks of `block_size` vertices on the pool when there are
+  /// two or more, every other body runs inline over all vertices.
+  void run_pipeline(std::size_t block_size);
 
-  // configure() bodies: the real mutators behind the deprecated setter
-  // forwarders (forwarders build one-field configs, so these must not
-  // call configure() back).
-  void apply_round_threads(std::size_t threads);
-  void apply_fault_plan(fault::FaultPlan* plan,
-                        fault::FaultListener* listener);
   void apply_telemetry(obs::Registry* registry, obs::TraceSink* sink);
-  void apply_sparse_rounds(bool on);
-
-  /// Recomputes sparse_supported_ from the knob, the channel and the
-  /// installed splices; allocates the sparse bookkeeping on first support.
-  void update_sparse_support();
-
-  /// Resets the sparse bookkeeping to "everyone stepped through round_,
-  /// nobody parked (crashed vertices parked forever)" -- the state after a
-  /// dense round, used when sparse dispatch (re-)engages.
-  void reset_sparse_state();
-
-  /// Catches every parked process up to round_ via one batched
-  /// silent_steps() call, then resets the bookkeeping -- required before
-  /// the dense dispatch (which steps every vertex) can take over mid-run.
-  void flush_parked();
 
   /// (Re)creates the profiler against registry_ and assigns every pipeline
   /// slot its timing slot, in pipeline order.  Registry counters are keyed
   /// by name, so a rebuild keeps accumulating into the same counters.
   void rebuild_profiler();
 
-  /// Serial fault checkpoint at the top of both round loops: asks the plan
-  /// for this round's events and applies them (crashed_ bitmap, process
-  /// and listener callbacks) before any phase -- parallel or not -- runs.
+  /// Serial fault checkpoint at the top of every round: asks the plan for
+  /// this round's events and applies them (crashed_ bitmap, parking,
+  /// process and listener callbacks) before any block runs.
   void apply_faults(Round t);
 
   /// Serial logical-metrics pass over the round's frozen verdicts
-  /// (transmitting_, heard_, crashed_), identical in both round loops --
-  /// the reason logical registry dumps are byte-identical across
-  /// round_threads.  Only runs when a registry is installed.
+  /// (transmitting_, heard_ through the frontier, crashed_) -- the reason
+  /// logical registry dumps are byte-identical across round_threads.  Only
+  /// runs when a registry is installed.
   void record_logical_round();
 
   const graph::DualGraph* graph_;
@@ -315,7 +257,7 @@ class Engine {
   std::vector<Observer*> obs_fault_;
   Round round_ = 0;
 
-  // Telemetry (see set_telemetry).  Logical counter slots are cached
+  // Telemetry (see configure()).  Logical counter slots are cached
   // registry references so the per-round pass never pays a map lookup.
   obs::Registry* registry_ = nullptr;
   obs::TraceSink* trace_sink_ = nullptr;
@@ -329,8 +271,7 @@ class Engine {
   std::uint64_t* m_recoveries_ = nullptr;
   std::uint64_t* m_dispatch_serial_ = nullptr;
   std::uint64_t* m_dispatch_sharded_ = nullptr;
-  std::uint64_t* m_active_blocks_ = nullptr;
-  double* m_frontier_fraction_ = nullptr;
+  std::uint64_t* m_active_blocks_ = nullptr;  ///< counts frontier words
   obs::Registry::Histogram* m_tx_per_round_ = nullptr;
 
   std::size_t round_threads_ = 1;
@@ -350,29 +291,28 @@ class Engine {
   /// Packed reception state written by the channel: high 32 bits = last
   /// heard-from vertex, low 32 bits = number of decodable senders.
   std::vector<std::uint64_t> heard_;
+  /// bit u = u took an unmasked delivery this round; written by the
+  /// receive stage for frontier words only (its replay reads no others).
+  Bitmap delivered_;
   /// Slab::kDeliveryMask -- bit u = suppress delivery to u this round.
   /// Only consulted when deliver_masked_ (armed per round by a
   /// mask-writing spliced stage, reset by the driver).
   Bitmap delivery_mask_;
   bool deliver_masked_ = false;
 
-  // ---- activity-driven sparse rounds (see docs/PIPELINE.md) ----
+  // ---- the frontier and process parking (see docs/PIPELINE.md) ----
   // The frontier stage computes frontier_ (Slab::kActivityMask) each round:
   // every vertex whose heard_ word could be non-zero.  Compute zeroes and
   // fills only frontier words (entries outside them are stale and never
   // read); transmit/receive/output skip words whose every vertex is parked
-  // on a silent promise.  Bookkeeping invariants while sparse is active:
-  // last_stepped_[v] = the round through which v's cursor has advanced
-  // (batched silent_steps() jumps included); silent_until_[v] >= t means v
-  // is parked at round t (crashed vertices park forever and are restored
-  // by the fault stage on recovery); word_silent_until_[w] is a
-  // conservative (<= actual) minimum over word w's vertices.
-  bool sparse_enabled_ = true;     ///< the knob (config / DG_SPARSE_ROUNDS)
-  bool sparse_supported_ = false;  ///< knob && channel && no splices
-  bool sparse_active_ = false;     ///< this round runs the sparse dispatch
+  // on a silent promise.  Bookkeeping invariants: last_stepped_[v] = the
+  // round through which v's cursor has advanced (batched silent_steps()
+  // jumps included); silent_until_[v] >= t means v is parked at round t
+  // (crashed vertices park forever and are restored by the fault stage on
+  // recovery); word_silent_until_[w] is a conservative (<= actual) minimum
+  // over word w's vertices.
   Bitmap frontier_;                          ///< Slab::kActivityMask
   std::vector<std::size_t> active_words_;    ///< non-zero frontier words
-  std::vector<std::uint8_t> block_active_;   ///< per shard block, sharded
   std::vector<Round> last_stepped_;
   std::vector<Round> silent_until_;
   std::vector<Round> word_silent_until_;

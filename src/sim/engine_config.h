@@ -1,14 +1,10 @@
-// sim::EngineConfig -- one builder for the engine's grown-by-accretion
-// mutator surface.
+// sim::EngineConfig -- the one configuration surface of the round engine.
 //
-// set_round_threads / set_fault_plan / set_telemetry accreted one PR at a
-// time; wrappers and CLIs each call some subset in their own order.  The
-// config object names every knob once, applies in a fixed order
+// The config object names every knob once, applies in a fixed order
 // (threads, fault plan, splices, telemetry -- so spliced stages exist
 // before the profiler registers per-stage timers), and flows unchanged
-// through LbSimulation::configure() to the engine.  The old setters
-// survive as thin forwarders for incremental migration; new call sites
-// should build a config.
+// through LbSimulation::configure() to the engine.  Each piece applies
+// only if set, so configs compose: a default EngineConfig is a no-op.
 #pragma once
 
 #include <cstddef>
@@ -45,13 +41,6 @@ struct EngineConfig {
   obs::Registry* registry = nullptr;
   obs::TraceSink* trace_sink = nullptr;
 
-  /// Activity-driven sparse rounds (frontier masks + batched silent steps;
-  /// see docs/PIPELINE.md) -- only applied when has_sparse_rounds is set,
-  /// so a default config keeps the engine's current setting (which starts
-  /// from the DG_SPARSE_ROUNDS environment knob, default on).
-  bool has_sparse_rounds = false;
-  bool sparse_rounds = true;
-
   /// Extra stages spliced into the round pipeline, in installation order.
   /// Must have passed validate_splice_specs().
   std::vector<SpliceSpec> splices;
@@ -72,11 +61,6 @@ struct EngineConfig {
     has_telemetry = true;
     registry = reg;
     trace_sink = sink;
-    return *this;
-  }
-  EngineConfig& with_sparse_rounds(bool on) {
-    has_sparse_rounds = true;
-    sparse_rounds = on;
     return *this;
   }
   EngineConfig& with_splice(SpliceSpec spec) {

@@ -57,19 +57,20 @@ class Process {
   /// recv, decide) are emitted from here via protocol-specific callbacks.
   virtual void end_round(RoundContext& ctx) { (void)ctx; }
 
-  /// Fault seam (Engine::set_fault_plan).  While crashed, the process gets
-  /// no transmit()/receive()/end_round() calls at all; on_crash fires once
-  /// at the crash round (after the wrapper's FaultListener has read any
-  /// pre-crash state it needs) and on_recover once at the recovery round,
-  /// where the process must re-initialize its protocol state -- keeping
-  /// only identity-level facts (its id, message sequence numbers) so a
-  /// recovered node rejoins as itself, not as a duplicate.  Both are
-  /// invoked serially at the round boundary, never from worker threads.
+  /// Fault seam (a fault plan installed via Engine::configure).  While
+  /// crashed, the process gets no transmit()/receive()/end_round() calls
+  /// at all; on_crash fires once at the crash round (after the wrapper's
+  /// FaultListener has read any pre-crash state it needs) and on_recover
+  /// once at the recovery round, where the process must re-initialize its
+  /// protocol state -- keeping only identity-level facts (its id, message
+  /// sequence numbers) so a recovered node rejoins as itself, not as a
+  /// duplicate.  Both are invoked serially at the round boundary, never
+  /// from worker threads.
   virtual void on_crash(Round round) { (void)round; }
   virtual void on_recover(Round round) { (void)round; }
 
-  /// Sparse-round consent (mirrors shard_safe()).  The engine calls this in
-  /// two ways:
+  /// Parking consent (mirrors shard_safe()).  The engine calls this in two
+  /// ways:
   ///
   ///  * `silent_steps(0)` -- a pure promise query.  The return value j >= 0
   ///    is the number of FUTURE rounds this process promises to be silent
@@ -85,13 +86,13 @@ class Process {
   ///    exactly what k individual silent rounds would have produced.  The
   ///    return value is a fresh promise for the rounds after the jump.
   ///
-  /// A promise is conditional: if anything arrives (a count==1 delivery) or
-  /// a fault event fires, the engine catches the process up and resumes
-  /// per-round stepping, so the observable execution is byte-identical to
-  /// the dense path.  Invoked under the same concurrency discipline as
-  /// transmit()/receive(): serially in serial rounds, from the owning
-  /// block's worker in sharded rounds (sharding already requires
-  /// shard_safe() consent from every process).
+  /// A promise is conditional: if anything arrives (an unmasked count==1
+  /// delivery) or a fault event fires, the engine catches the process up
+  /// and resumes per-round stepping, so the observable execution is
+  /// byte-identical to stepping every round.  Invoked under the same
+  /// concurrency discipline as transmit()/receive(): from the owning
+  /// block, which runs on a worker thread only in sharded rounds
+  /// (sharding already requires shard_safe() consent from every process).
   virtual std::int64_t silent_steps(std::int64_t k) {
     (void)k;
     return 0;
@@ -102,7 +103,7 @@ class Process {
   /// vertices' steps concurrently within a phase.  Processes whose callbacks
   /// fan out into shared protocol state (spec checkers, traffic ledgers)
   /// must return false unless that fan-out is concurrency-safe -- the
-  /// engine silently falls back to the serial round loop when any process
+  /// engine runs every round as one inline block when any process
   /// declines, so the conservative default costs correctness nothing.
   virtual bool shard_safe() const { return false; }
 

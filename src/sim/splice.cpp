@@ -51,7 +51,7 @@ class NoopStage final : public RoundStage {
   std::string name() const override { return "noop"; }
   SlabSet reads() const override { return 0; }
   SlabSet writes() const override { return 0; }
-  void run(RoundState&) override {}
+  void run_block(RoundState&, graph::Vertex, graph::Vertex) override {}
 };
 
 /// Duplicate-suppression cache: per receiver, a ring of the last `window`
@@ -59,7 +59,9 @@ class NoopStage final : public RoundStage {
 /// the delivery mask, which the receive stage honors by handing the
 /// process a null indicator instead of the packet.  Ring state depends
 /// only on the receiver's own decode sequence (frozen heard words), so
-/// block-parallel execution is deterministic at any thread count.
+/// block-parallel execution is deterministic at any thread count.  Only
+/// count==1 deliveries touch a ring, and those all lie in frontier words,
+/// so the scan visits only those (RoundState's frontier-read contract).
 class DedupStage final : public RoundStage {
  public:
   DedupStage(std::size_t window, std::size_t vertex_count)
@@ -70,7 +72,8 @@ class DedupStage final : public RoundStage {
   std::string name() const override { return "dedup"; }
   SlabSet reads() const override {
     return slab_bit(Slab::kTransmitBitmap) | slab_bit(Slab::kPacketSlab) |
-           slab_bit(Slab::kHeardWords) | slab_bit(Slab::kCrashedBitmap);
+           slab_bit(Slab::kHeardWords) | slab_bit(Slab::kCrashedBitmap) |
+           slab_bit(Slab::kActivityMask);
   }
   SlabSet writes() const override {
     return slab_bit(Slab::kDeliveryMask);
@@ -81,12 +84,13 @@ class DedupStage final : public RoundStage {
     rs.delivery_mask->clear();
     *rs.deliver_masked = true;
   }
-  void run(RoundState& rs) override {
-    scan(rs, 0, static_cast<graph::Vertex>(rs.vertex_count));
-  }
   void run_block(RoundState& rs, graph::Vertex begin,
                  graph::Vertex end) override {
-    scan(rs, begin, end);
+    rs.activity->for_each_nonzero_run(
+        begin, end, [&](std::size_t lo, std::size_t hi) {
+          scan(rs, static_cast<graph::Vertex>(lo),
+               static_cast<graph::Vertex>(hi));
+        });
   }
   void after_phase(RoundState& rs) override {
     if (rs.registry != nullptr) {
@@ -127,7 +131,9 @@ class DedupStage final : public RoundStage {
 
 /// Read-only probe of one slab: a logical population counter per round
 /// plus per-vertex trace instants for an explicit vertex list.  Serial by
-/// declaration (it writes no slab, but the trace sink is not shardable).
+/// declaration (it writes no slab, but the trace sink is not thread-safe).
+/// Heard words are read through the frontier: outside frontier words they
+/// are stale and read as 0.
 class TraceTapStage final : public RoundStage {
  public:
   TraceTapStage(Slab slab, std::vector<std::uint32_t> vertices)
@@ -137,10 +143,15 @@ class TraceTapStage final : public RoundStage {
         counter_(std::string("stage.tap.") + slab_name(slab)) {}
 
   std::string name() const override { return name_; }
-  SlabSet reads() const override { return slab_bit(slab_); }
+  SlabSet reads() const override {
+    // Heard words are read through the frontier (see population()).
+    return slab_ == Slab::kHeardWords
+               ? slab_bit(slab_) | slab_bit(Slab::kActivityMask)
+               : slab_bit(slab_);
+  }
   SlabSet writes() const override { return 0; }
 
-  void run(RoundState& rs) override {
+  void run_block(RoundState& rs, graph::Vertex, graph::Vertex) override {
     if (rs.registry != nullptr) {
       rs.registry->counter(counter_, obs::Domain::kLogical) += population(rs);
     }
@@ -160,7 +171,10 @@ class TraceTapStage final : public RoundStage {
       case Slab::kCrashedBitmap: return rs.crashed->count();
       case Slab::kHeardWords: {
         std::uint64_t n = 0;
-        for (const std::uint64_t h : *rs.heard) n += (h != 0);
+        rs.activity->for_each_nonzero_run(
+            0, rs.vertex_count, [&](std::size_t lo, std::size_t hi) {
+              for (std::size_t u = lo; u < hi; ++u) n += ((*rs.heard)[u] != 0);
+            });
         return n;
       }
       default: return 0;
@@ -171,7 +185,8 @@ class TraceTapStage final : public RoundStage {
     switch (slab_) {
       case Slab::kTransmitBitmap: return rs.transmitting->test(v);
       case Slab::kCrashedBitmap: return rs.crashed->test(v);
-      case Slab::kHeardWords: return (*rs.heard)[v];
+      case Slab::kHeardWords:
+        return rs.activity->words()[v / 64] != 0 ? (*rs.heard)[v] : 0;
       default: return 0;
     }
   }
@@ -272,8 +287,12 @@ SlabSet splice_reads(const SpliceSpec& spec) {
     case SpliceSpec::Kind::kNoop: return 0;
     case SpliceSpec::Kind::kDedup:
       return slab_bit(Slab::kTransmitBitmap) | slab_bit(Slab::kPacketSlab) |
-             slab_bit(Slab::kHeardWords) | slab_bit(Slab::kCrashedBitmap);
-    case SpliceSpec::Kind::kTap: return slab_bit(spec.tap_slab);
+             slab_bit(Slab::kHeardWords) | slab_bit(Slab::kCrashedBitmap) |
+             slab_bit(Slab::kActivityMask);
+    case SpliceSpec::Kind::kTap:
+      return spec.tap_slab == Slab::kHeardWords
+                 ? slab_bit(Slab::kHeardWords) | slab_bit(Slab::kActivityMask)
+                 : slab_bit(spec.tap_slab);
   }
   return 0;
 }

@@ -3,26 +3,26 @@
 // A stage declares which named slabs (sim/slab.h) it reads and writes and
 // whether its writes are per-vertex-disjoint; the pipeline driver
 // (Engine::run_pipeline) uses the declarations to decide dispatch: a stage
-// with vertex_disjoint_writes() runs block-parallel on the engine's thread
-// pool in sharded rounds, everything else runs serial.  Determinism across
-// round_threads is preserved by the hook split below, not by scheduling:
-// anything order-sensitive (observer fan-out, wrapper checkpoints) lives
-// in the serial hooks.
+// with vertex_disjoint_writes() runs its body once per vertex block -- on
+// the engine's thread pool in sharded rounds, inline as one block covering
+// every vertex otherwise -- and everything else runs its body once, inline,
+// over the whole vertex range.  Determinism across round_threads is
+// preserved by the hook split below, not by scheduling: anything
+// order-sensitive (observer fan-out, wrapper checkpoints) lives in the
+// serial hooks.
 //
-// Hook order per stage, per round:
-//   prologue()    serial, both dispatches, first inside the profiler
-//                 bracket (slab resets go here)
-//   run()         serial dispatch only: the full phase body, inline
-//                 observer fan-out included
-//   run_block()   sharded dispatch only: the parallel body for one vertex
-//                 block [begin, end); must touch only per-vertex state
-//   replay()      sharded dispatch only, serial, after all blocks: replays
-//                 the observer stream in ascending vertex order -- the
-//                 exact events run() would have emitted inline
-//   epilogue()    serial, both dispatches, last inside the bracket
-//                 (RoundHooks checkpoints fire here)
-//   after_phase() serial, both dispatches, outside the profiler bracket
-//                 (logical-metrics passes go here so they are not timed)
+// Hook order per stage, per round (all but run_block() serial, on the
+// engine's calling thread):
+//   prologue()    first inside the profiler bracket (slab resets go here)
+//   run_block()   the body, for one vertex block [begin, end); a
+//                 vertex-disjoint stage must touch only per-vertex state
+//                 of its block (blocks own whole 64-vertex bitmap words)
+//   replay()      after all blocks: fans the observer stream out in
+//                 ascending vertex order
+//   epilogue()    last inside the bracket (RoundHooks checkpoints fire
+//                 here)
+//   after_phase() outside the profiler bracket (logical-metrics passes go
+//                 here so they are not timed)
 //
 // Core stages are friends of the Engine (defined in sim/engine.cpp);
 // spliced stages (sim/splice.h) see only this RoundState view.
@@ -48,16 +48,16 @@ namespace dg::sim {
 /// slabs plus the round header.  Slab pointers are stable for the engine's
 /// lifetime; which ones a stage may dereference is bounded by its declared
 /// read/write sets (validated at splice time).
+///
+/// Frontier-read contract: `heard` entries are fresh only inside the
+/// non-zero 64-vertex words of `activity` (the round's frontier); entries
+/// outside them are stale and stand for 0.  Every count==1 delivery lies
+/// in a frontier word, so a stage reading verdicts visits only those
+/// words (Bitmap::for_each_nonzero_run over `activity`).
 struct RoundState {
   std::int64_t round = 0;
-  bool faults = false;   ///< a fault plan is installed
-  bool sharded = false;  ///< this round runs the block-parallel dispatch
-  /// This round runs the activity-driven sparse dispatch: compute/receive
-  /// visit only frontier words, heard entries outside them are stale.
-  /// Never true while spliced stages are installed (see docs/PIPELINE.md).
-  bool sparse = false;
+  bool faults = false;  ///< a fault plan is installed
   std::size_t vertex_count = 0;
-  std::size_t block_size = 0;  ///< sharded partition stride (0 when serial)
 
   Bitmap* transmitting = nullptr;        ///< Slab::kTransmitBitmap
   std::vector<Packet>* packets = nullptr;       ///< Slab::kPacketSlab
@@ -93,23 +93,13 @@ class RoundStage {
   virtual bool vertex_disjoint_writes() const { return false; }
 
   /// Whether the stage participates this round (e.g. the fault stage only
-  /// runs with a plan installed; prepare_round only in sharded rounds).
-  /// Inactive stages are skipped entirely -- no profiler bracket.
-  virtual bool active(bool sharded) const {
-    (void)sharded;
-    return true;
-  }
+  /// runs with a plan installed).  Inactive stages are skipped entirely --
+  /// no profiler bracket.
+  virtual bool active() const { return true; }
 
   virtual void prologue(RoundState& rs) { (void)rs; }
-  virtual void run(RoundState& rs) = 0;
   virtual void run_block(RoundState& rs, graph::Vertex begin,
-                         graph::Vertex end) {
-    // Default for serial-only stages: never called (the driver dispatches
-    // run() when vertex_disjoint_writes() is false).
-    (void)rs;
-    (void)begin;
-    (void)end;
-  }
+                         graph::Vertex end) = 0;
   virtual void replay(RoundState& rs) { (void)rs; }
   virtual void epilogue(RoundState& rs) { (void)rs; }
   virtual void after_phase(RoundState& rs) { (void)rs; }

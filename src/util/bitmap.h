@@ -118,6 +118,26 @@ class Bitmap {
     }
   }
 
+  /// Calls f(lo, hi) for every maximal run of non-zero words inside the
+  /// bit range [begin, end), passing the bit range [lo, hi) the run covers
+  /// (clipped to end).  `begin` must be word-aligned.
+  template <typename F>
+  void for_each_nonzero_run(std::size_t begin, std::size_t end, F&& f) const {
+    DG_ASSERT(begin % 64 == 0 && end <= size_);
+    const std::size_t we = (end + 63) / 64;
+    std::size_t w = begin / 64;
+    while (w < we) {
+      if (words_[w] == 0) {
+        ++w;
+        continue;
+      }
+      std::size_t run_end = w + 1;
+      while (run_end < we && words_[run_end] != 0) ++run_end;
+      f(w * 64, run_end * 64 < end ? run_end * 64 : end);
+      w = run_end;
+    }
+  }
+
   friend bool operator==(const Bitmap& a, const Bitmap& b) noexcept {
     return a.size_ == b.size_ && a.words_ == b.words_;
   }

@@ -133,7 +133,7 @@ TEST(DeterminismGolden, LbStackUnderCrashRecoverChurn) {
   sim.add_observer(&digest);
   sim.keep_busy({0, 17, 35});
   fault::PoissonFaultPlan plan(/*rate=*/0.1, /*mean_repair=*/48.0);
-  sim.set_fault_plan(&plan);
+  sim.configure(EngineConfig{}.with_fault_plan(&plan));
   sim.run_rounds(300);
   EXPECT_EQ(digest.digest(), 0xc5870458133631caULL)
       << "actual digest: 0x" << std::hex << digest.digest();
@@ -192,7 +192,7 @@ TEST(DeterminismGoldenSharded, FullLbStackOnGrid) {
       lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
   lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.4), params,
                        /*master_seed=*/2026);
-  sim.set_round_threads(kMaxRoundThreads);
+  sim.configure(EngineConfig{}.with_round_threads(kMaxRoundThreads));
   DigestObserver digest;
   sim.add_observer(&digest);
   sim.keep_busy({0, 17, 35});
@@ -209,12 +209,12 @@ TEST(DeterminismGoldenSharded, LbStackUnderCrashRecoverChurn) {
       lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
   lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.4), params,
                        /*master_seed=*/2027);
-  sim.set_round_threads(kMaxRoundThreads);
+  sim.configure(EngineConfig{}.with_round_threads(kMaxRoundThreads));
   DigestObserver digest;
   sim.add_observer(&digest);
   sim.keep_busy({0, 17, 35});
   fault::PoissonFaultPlan plan(/*rate=*/0.1, /*mean_repair=*/48.0);
-  sim.set_fault_plan(&plan);
+  sim.configure(EngineConfig{}.with_fault_plan(&plan));
   sim.run_rounds(300);
   EXPECT_EQ(digest.digest(), 0xc5870458133631caULL)
       << "actual digest: 0x" << std::hex << digest.digest();
@@ -227,7 +227,7 @@ TEST(DeterminismGoldenSharded, CoinProcessesUnderFlicker) {
   FlickerScheduler sched(7, 3);
   Engine engine(g, sched, coin_processes(g.size(), /*id_seed=*/5),
                 /*master_seed=*/424242);
-  engine.set_round_threads(kMaxRoundThreads);
+  engine.configure(EngineConfig{}.with_round_threads(kMaxRoundThreads));
   DigestObserver digest;
   engine.add_observer(&digest);
   engine.run_rounds(400);
@@ -247,7 +247,7 @@ TEST(DeterminismGoldenSharded, AdaptiveJammerCounterfactual) {
   BernoulliScheduler sched(0.5);
   Engine engine(g, sched, coin_processes(g.size(), /*id_seed=*/9),
                 /*master_seed=*/777);
-  engine.set_round_threads(kMaxRoundThreads);
+  engine.configure(EngineConfig{}.with_round_threads(kMaxRoundThreads));
   TargetedJammer jammer(/*target=*/0);
   engine.set_adaptive_adversary(&jammer);
   DigestObserver digest;

@@ -25,7 +25,6 @@
 #include "lb/simulation.h"
 #include "obs/registry.h"
 #include "phys/sinr.h"
-#include "seed/seed_alg.h"
 #include "sim/engine.h"
 #include "sim/engine_config.h"
 #include "sim/scheduler.h"
@@ -42,6 +41,10 @@ const std::size_t kThreadCounts[] = {1, 2, 3, 8};
 /// failure positions, unlike a bare digest.
 class StreamObserver final : public Observer {
  public:
+  explicit StreamObserver(unsigned interest = kAllEvents)
+      : interest_(interest) {}
+
+  unsigned interest() const override { return interest_; }
   const std::vector<std::string>& events() const noexcept { return events_; }
 
   void on_round_begin(Round round) override {
@@ -80,6 +83,7 @@ class StreamObserver final : public Observer {
   }
   void push() { events_.push_back(os_.str()); }
 
+  unsigned interest_;
   std::ostringstream os_;
   std::vector<std::string> events_;
 };
@@ -135,7 +139,7 @@ RunResult run_once(const graph::DualGraph& g,
   auto sched = make_scheduler();
   Engine engine(g, *sched, shard_coins(g.size(), master_seed ^ 0x5eedULL),
                 master_seed);
-  engine.set_round_threads(round_threads);
+  engine.configure(EngineConfig{}.with_round_threads(round_threads));
   StreamObserver stream;
   engine.add_observer(&stream);
   engine.run_rounds(rounds);
@@ -206,7 +210,7 @@ TEST(EngineShardDifferential, GeometricAndLine) {
 
 TEST(EngineShardDifferential, SinrChannel) {
   // The SINR reception path: prepare_round buckets transmitters serially,
-  // compute_shard runs the verdict loop per receiver range; the identical
+  // compute runs the verdict loop per receiver range; the identical
   // floating-point accumulation order makes the verdicts bit-for-bit equal.
   const auto g = graph::grid(16, 16, 1.0, 1.5);
   phys::SinrParams params;  // defaults: alpha 3, beta 2, noise 0.1
@@ -217,7 +221,7 @@ TEST(EngineShardDifferential, SinrChannel) {
     phys::SinrChannel channel(params);
     Engine engine(g, channel, shard_coins(g.size(), master ^ 0x5eedULL),
                   master);
-    engine.set_round_threads(threads);
+    engine.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(rounds);
@@ -260,7 +264,7 @@ TEST(EngineShardDifferential, LbStackWithTrafficLedger) {
   const auto run = [&](std::size_t threads) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2027);
-    sim.set_round_threads(threads);
+    sim.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     sim.add_observer(&stream);
     sim.traffic().set_queue_capacity(4);
@@ -303,13 +307,13 @@ TEST(EngineShardDifferential, LbStackUnderFaultPlan) {
   const auto run = [&](std::size_t threads) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2028);
-    sim.set_round_threads(threads);
+    sim.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     sim.add_observer(&stream);
     sim.add_traffic(traffic::build_source(tspec, g.size(),
                                           derive_seed(2028, 0x7fcULL)));
     const auto plan = fault::build_fault_plan(fspec);
-    sim.set_fault_plan(plan.get());
+    sim.configure(EngineConfig{}.with_fault_plan(plan.get()));
     sim.run_phases(3);
     const lb::DegradationLedger& led = sim.ledger();
     std::vector<std::uint64_t> fault_ledger = {
@@ -354,9 +358,9 @@ TEST(EngineShardDifferential, LogicalMetricsByteIdentical) {
   const auto run = [&](std::size_t threads) {
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, shard_coins(g.size(), 0xAB5eedULL), 0xAB);
-    engine.set_round_threads(threads);
     obs::Registry registry;
-    engine.set_telemetry(&registry);
+    engine.configure(
+        EngineConfig{}.with_round_threads(threads).with_telemetry(&registry));
     engine.run_rounds(48);
     return registry.json(/*include_timing=*/false);
   };
@@ -386,13 +390,14 @@ TEST(EngineShardDifferential, LogicalMetricsByteIdenticalUnderFaultPlan) {
   const auto run = [&](std::size_t threads) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2029);
-    sim.set_round_threads(threads);
     sim.add_traffic(traffic::build_source(tspec, g.size(),
                                           derive_seed(2029, 0x7fcULL)));
     const auto plan = fault::build_fault_plan(fspec);
-    sim.set_fault_plan(plan.get());
     obs::Registry registry;
-    sim.set_telemetry(&registry);
+    sim.configure(EngineConfig{}
+                      .with_round_threads(threads)
+                      .with_fault_plan(plan.get())
+                      .with_telemetry(&registry));
     sim.run_phases(3);
     sim.export_telemetry();
     return registry.json(/*include_timing=*/false);
@@ -461,109 +466,170 @@ TEST(EngineShardProperty, RandomizedTopologySweep) {
   }
 }
 
-// ---- sparse-vs-dense differential: the activity-driven round path ----
+// ---- dense goldens: the oracle for the frontier-driven dispatch ----
 //
-// Every suite above already runs with the session default (sparse on unless
-// DG_SPARSE_ROUNDS=0), so the dense-generated goldens double as a sparse
-// regression net.  This section pins the two dispatches against each other
-// *explicitly*: the same execution with sparse rounds forced on and forced
-// off must be byte-identical -- observer stream, process end state, traffic
-// and degradation ledgers, logical telemetry -- at every thread count.
+// Every case below was recorded from the engine's former dense dispatch
+// (every vertex stepped every round, heard words zeroed and filled in full,
+// observers fanned out inline), so the single frontier-driven block loop
+// stays pinned to it now that the dense code is gone.  A case digests the
+// observer stream, the process end state or the traffic + degradation
+// ledgers, and (where telemetry is installed) the logical METRICS dump;
+// each must match at every thread count.  If an intentional semantic
+// change ever lands, re-record with the printed "actual" values.
 
-/// run_once with the sparse knob forced, instead of the session default.
-RunResult run_once_sparse(const graph::DualGraph& g,
-                          const std::function<std::unique_ptr<LinkScheduler>()>&
-                              make_scheduler,
-                          std::size_t round_threads, Round rounds,
-                          std::uint64_t master_seed, bool sparse) {
+/// FNV-1a over 64-bit words, byte by byte.
+std::uint64_t fnv(std::uint64_t h, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (word >> (8 * byte)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t digest_text(std::uint64_t h, const std::string& text) {
+  for (const char c : text) h = fnv(h, static_cast<unsigned char>(c));
+  return fnv(h, text.size());
+}
+
+std::uint64_t digest_lines(const std::vector<std::string>& lines) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::string& line : lines) h = digest_text(h, line);
+  return h;
+}
+
+std::uint64_t digest_words(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint64_t w : words) h = fnv(h, w);
+  return fnv(h, words.size());
+}
+
+/// One recorded run: observer event count, stream digest, state digest.
+struct Golden {
+  std::size_t events = 0;
+  std::uint64_t stream = 0;
+  std::uint64_t state = 0;
+};
+
+void expect_golden(const Golden& want, const Golden& got,
+                   const std::string& what, std::size_t threads) {
+  EXPECT_TRUE(want.events == got.events && want.stream == got.stream &&
+              want.state == got.state)
+      << what << " @ " << threads << " threads; actual {" << std::dec
+      << got.events << ", 0x" << std::hex << got.stream << "ULL, 0x"
+      << got.state << "ULL}";
+}
+
+/// The configuration every golden run starts from.
+EngineConfig golden_config(std::size_t threads) {
+  return EngineConfig{}.with_round_threads(threads);
+}
+
+Golden coin_golden_run(const graph::DualGraph& g,
+                       const std::function<std::unique_ptr<LinkScheduler>()>&
+                           make_scheduler,
+                       std::size_t threads, Round rounds,
+                       std::uint64_t master_seed) {
   auto sched = make_scheduler();
   Engine engine(g, *sched, shard_coins(g.size(), master_seed ^ 0x5eedULL),
                 master_seed);
-  engine.set_round_threads(round_threads);
-  engine.set_sparse_rounds(sparse);
-  EXPECT_EQ(engine.sparse_rounds_active(), sparse);
+  engine.configure(golden_config(threads));
   StreamObserver stream;
   engine.add_observer(&stream);
   engine.run_rounds(rounds);
-  RunResult result;
-  result.events = stream.events();
+  std::vector<std::uint64_t> heard;
   for (graph::Vertex v = 0; v < g.size(); ++v) {
-    result.heard.push_back(
+    heard.push_back(
         dynamic_cast<const ShardCoinProcess&>(engine.process(v)).heard_hash());
   }
-  return result;
+  return {stream.events().size(), digest_lines(stream.events()),
+          digest_words(heard)};
 }
 
-void expect_sparse_invariant(
-    const graph::DualGraph& g,
-    const std::function<std::unique_ptr<LinkScheduler>()>& make_scheduler,
-    Round rounds, std::uint64_t master_seed, const std::string& what) {
-  for (std::size_t threads : kThreadCounts) {
-    const RunResult dense =
-        run_once_sparse(g, make_scheduler, threads, rounds, master_seed,
-                        /*sparse=*/false);
-    const RunResult sparse =
-        run_once_sparse(g, make_scheduler, threads, rounds, master_seed,
-                        /*sparse=*/true);
-    ASSERT_EQ(dense.events.size(), sparse.events.size())
-        << what << " @ " << threads << " threads";
-    for (std::size_t i = 0; i < dense.events.size(); ++i) {
-      ASSERT_EQ(dense.events[i], sparse.events[i])
-          << what << " @ " << threads << " threads, event " << i;
+TEST(EngineDenseGolden, CoinHarnessAcrossTopologies) {
+  struct Case {
+    std::string what;
+    graph::DualGraph g;
+    std::function<std::unique_ptr<LinkScheduler>()> make_scheduler;
+    Round rounds;
+    std::uint64_t seed;
+    Golden want;
+  };
+  const auto bernoulli = [](double p) {
+    return [p] { return std::make_unique<BernoulliScheduler>(p); };
+  };
+  // Word-boundary shapes (63/65/129): the frontier bitmap and the per-word
+  // park minimums live on 64-vertex granularity.
+  const Case cases[] = {
+      {"grid/bernoulli", graph::grid(12, 12, 1.0, 1.5), bernoulli(0.5), 40,
+       0xA01, {5840, 0xf5149553ba16d0caULL, 0x705aea9606460dd5ULL}},
+      {"geometric/burst", geometric(150, 88),
+       [] { return std::make_unique<BurstScheduler>(5, 0.4); }, 40, 0xA02,
+       {6080, 0x124b596249c8613fULL, 0x24a8faefe5802a1dULL}},
+      {"odd-n n=63", geometric(63, 0xA000 + 63), bernoulli(0.4), 24,
+       0xA10 + 63, {1560, 0x8bf36a3302c2bed7ULL, 0x12ac6099e118c33bULL}},
+      {"odd-n n=65", geometric(65, 0xA000 + 65), bernoulli(0.4), 24,
+       0xA10 + 65, {1608, 0x1bbfbe6cf378666ULL, 0x247269f846973b54ULL}},
+      {"odd-n n=129", geometric(129, 0xA000 + 129), bernoulli(0.4), 24,
+       0xA10 + 129, {3144, 0xa5a50f0c36d8498bULL, 0x1429e5cf94bb51eaULL}},
+  };
+  for (const Case& c : cases) {
+    for (std::size_t threads : kThreadCounts) {
+      expect_golden(c.want,
+                    coin_golden_run(c.g, c.make_scheduler, threads, c.rounds,
+                                    c.seed),
+                    c.what, threads);
     }
-    ASSERT_EQ(dense.heard, sparse.heard)
-        << what << " @ " << threads << " threads (process state)";
   }
 }
 
-TEST(EngineSparseDifferential, CoinHarnessAcrossTopologies) {
-  expect_sparse_invariant(
-      graph::grid(12, 12, 1.0, 1.5),
-      [] { return std::make_unique<BernoulliScheduler>(0.5); }, 40, 0xA01,
-      "grid/bernoulli");
-  expect_sparse_invariant(
-      geometric(150, 88), [] { return std::make_unique<BurstScheduler>(5, 0.4); },
-      40, 0xA02, "geometric/burst");
-  // Word-boundary shapes: the frontier bitmap and the per-word park
-  // minimums live on 64-vertex granularity.
-  for (std::size_t n : {63u, 65u, 129u}) {
-    expect_sparse_invariant(
-        geometric(n, 0xA000 + n),
-        [] { return std::make_unique<BernoulliScheduler>(0.4); }, 24,
-        0xA10 + n, "odd-n n=" + std::to_string(n));
-  }
-}
-
-TEST(EngineSparseDifferential, SinrChannel) {
+TEST(EngineDenseGolden, SinrChannel) {
   // The SINR frontier (near-cell membership of transmitter cells) against
-  // the full-range dense verdict loop.
+  // the full-range verdict loop the dense dispatch ran.
   const auto g = graph::grid(14, 14, 1.0, 1.5);
-  const auto run = [&](std::size_t threads, bool sparse) {
+  for (std::size_t threads : kThreadCounts) {
     phys::SinrParams params;
     phys::SinrChannel channel(params);
     Engine engine(g, channel, shard_coins(g.size(), 0xB0B ^ 0x5eedULL), 0xB0B);
-    engine.set_round_threads(threads);
-    engine.set_sparse_rounds(sparse);
-    EXPECT_EQ(engine.sparse_rounds_active(), sparse);
+    engine.configure(golden_config(threads));
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(32);
-    return stream.events();
-  };
-  for (std::size_t threads : kThreadCounts) {
-    const auto dense = run(threads, false);
-    const auto sparse = run(threads, true);
-    ASSERT_EQ(dense.size(), sparse.size()) << threads << " threads";
-    for (std::size_t i = 0; i < dense.size(); ++i) {
-      ASSERT_EQ(dense[i], sparse[i]) << threads << " threads, event " << i;
+    std::vector<std::uint64_t> heard;
+    for (graph::Vertex v = 0; v < g.size(); ++v) {
+      heard.push_back(dynamic_cast<const ShardCoinProcess&>(engine.process(v))
+                          .heard_hash());
     }
+    expect_golden({6336, 0x50ba7d3359738c6ULL, 0xc38ce63e572a6b2ULL},
+                  {stream.events().size(), digest_lines(stream.events()),
+                   digest_words(heard)},
+                  "sinr", threads);
   }
 }
 
-TEST(EngineSparseDifferential, LbStackMatrix) {
+/// Traffic ledger plus the checker's degradation ledger, one vector.
+std::vector<std::uint64_t> lb_ledgers(const lb::LbSimulation& sim) {
+  auto all = ledger(sim.traffic().stats());
+  const lb::DegradationLedger& led = sim.ledger();
+  all.insert(all.end(),
+             {led.crashes, led.recoveries, led.faulty_progress.trials(),
+              led.faulty_progress.successes(), led.faulty_reliability.trials(),
+              led.faulty_reliability.successes(), led.restab_count,
+              led.restab_rounds_sum, led.fault_rounds,
+              led.acks_in_fault_rounds});
+  return all;
+}
+
+/// The LB-stack observer: everything but silences, so the receive replay
+/// takes its frontier-words-only walk (the spec checker's own interest).
+constexpr unsigned kLbStreamInterest = Observer::kAllEvents & ~Observer::kSilence;
+
+TEST(EngineDenseGolden, LbStackMatrix) {
   // The full LB stack -- where silent_steps() actually parks vertices
   // (receiving-state bodies, post-recovery stretches, done seed runners) --
-  // across topology x traffic shape x fault plan x thread count.
+  // across topology x traffic shape x fault plan x thread count.  The
+  // state digest covers both ledgers and the logical METRICS dump.
   struct Topo {
     const char* name;
     graph::DualGraph g;
@@ -571,7 +637,25 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
   const Topo topos[] = {{"grid", graph::grid(10, 10, 1.0, 1.5)},
                         {"geometric", geometric(150, 77)}};
   const char* traffics[] = {"poisson:0.05", "burst:48:3", "hotspot:0.05:0.7"};
+  // Recorded in loop order: topology, traffic, faults off/on.
+  const Golden want[] = {
+      // grid: poisson, burst, hotspot x no-faults, faults
+      {1920, 0x2b68c25a73cfddeaULL, 0x8c7840a60d73b4b3ULL},
+      {1822, 0xb639ef3d82485ff3ULL, 0x7e930b11af973790ULL},
+      {1870, 0xde9d9d554ad8e925ULL, 0xaea1d51b57aa857cULL},
+      {1782, 0x8be3ba145996e860ULL, 0xb593059a1db2970aULL},
+      {1855, 0x1feee0e210bb6a46ULL, 0xf49aa991b25ed48fULL},
+      {1768, 0xee610e153deff04aULL, 0x53e8772a97dab4b2ULL},
+      // geometric: poisson, burst, hotspot x no-faults, faults
+      {7146, 0x37d9e91758ac9a0dULL, 0xfb5d6fc139c87601ULL},
+      {6366, 0xc500942e8e1d5b11ULL, 0x1b784fda7dab8778ULL},
+      {5809, 0xfabffc6a4a09a75cULL, 0xb22239c02c15ad53ULL},
+      {5576, 0xb0dbf50ba515d4d9ULL, 0xb56c67cb1ae60336ULL},
+      {6501, 0xb923a2e29f0490eeULL, 0x22bf35656d253cd4ULL},
+      {5846, 0x7c22148806e59e3aULL, 0xbe9986f792bde3c5ULL},
+  };
 
+  std::size_t index = 0;
   for (const Topo& topo : topos) {
     lb::LbScales scales;
     scales.ack_scale = 0.02;
@@ -579,7 +663,7 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
         0.1, 1.5, topo.g.delta(), topo.g.delta_prime(), scales);
     for (const char* traffic : traffics) {
       for (bool faults : {false, true}) {
-        const auto run = [&](std::size_t threads, bool sparse) {
+        const auto run = [&](std::size_t threads) {
           traffic::TrafficSpec tspec;
           EXPECT_EQ(traffic::parse_traffic_spec(traffic, tspec), "");
           fault::FaultSpec fspec;
@@ -587,27 +671,24 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
           lb::LbSimulation sim(topo.g,
                                std::make_unique<BernoulliScheduler>(0.5),
                                params, /*master_seed=*/2030);
-          sim.configure(EngineConfig{}
-                            .with_round_threads(threads)
-                            .with_sparse_rounds(sparse));
-          EXPECT_EQ(sim.engine().sparse_rounds_active(), sparse);
-          StreamObserver stream;
+          obs::Registry registry;
+          sim.configure(golden_config(threads).with_telemetry(&registry));
+          StreamObserver stream(kLbStreamInterest);
           sim.add_observer(&stream);
           sim.add_traffic(traffic::build_source(
               tspec, topo.g.size(), derive_seed(2030, 0x7fcULL)));
           std::unique_ptr<fault::FaultPlan> plan;
           if (faults) {
             plan = fault::build_fault_plan(fspec);
-            sim.set_fault_plan(plan.get());
+            sim.configure(EngineConfig{}.with_fault_plan(plan.get()));
           }
           sim.run_phases(2);
-          auto all = ledger(sim.traffic().stats());
-          const lb::DegradationLedger& led = sim.ledger();
-          all.insert(all.end(),
-                     {led.crashes, led.recoveries, led.restab_count,
-                      led.restab_rounds_sum, led.fault_rounds,
-                      led.acks_in_fault_rounds});
-          return std::make_pair(stream.events(), all);
+          sim.export_telemetry();
+          const std::uint64_t state =
+              digest_text(digest_words(lb_ledgers(sim)),
+                          registry.json(/*include_timing=*/false));
+          return Golden{stream.events().size(),
+                        digest_lines(stream.events()), state};
         };
         const std::string what = std::string(topo.name) + "/" + traffic +
                                  (faults ? "/faults" : "/no-faults");
@@ -616,86 +697,157 @@ TEST(EngineSparseDifferential, LbStackMatrix) {
         const bool full_sweep = std::string(traffic).rfind("poisson", 0) == 0;
         for (std::size_t threads : kThreadCounts) {
           if (!full_sweep && threads != 1 && threads != 8) continue;
-          const auto dense = run(threads, false);
-          const auto sparse = run(threads, true);
-          ASSERT_EQ(dense.second, sparse.second)
-              << what << " @ " << threads << " threads (ledgers)";
-          ASSERT_EQ(dense.first.size(), sparse.first.size())
-              << what << " @ " << threads << " threads";
-          for (std::size_t i = 0; i < dense.first.size(); ++i) {
-            ASSERT_EQ(dense.first[i], sparse.first[i])
-                << what << " @ " << threads << " threads, event " << i;
-          }
+          expect_golden(want[index], run(threads), what, threads);
         }
+        ++index;
       }
     }
   }
 }
 
-TEST(EngineSparseDifferential, LogicalMetricsByteIdenticalAcrossSparse) {
+TEST(EngineDenseGolden, LogicalMetrics) {
   // The logical telemetry domain must not leak which dispatch ran; the
-  // sparse-only counters (engine.active_blocks, engine.frontier_fraction)
-  // live in the excluded timing domain.
+  // frontier counter (engine.active_blocks) lives in the excluded timing
+  // domain.
   const auto g = graph::grid(16, 16, 1.0, 1.5);
-  const auto run = [&](bool sparse) {
+  for (std::size_t threads : kThreadCounts) {
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, shard_coins(g.size(), 0xAB5eedULL), 0xAB);
-    engine.set_sparse_rounds(sparse);
     obs::Registry registry;
-    engine.set_telemetry(&registry);
+    engine.configure(golden_config(threads).with_telemetry(&registry));
     engine.run_rounds(48);
-    return registry.json(/*include_timing=*/false);
-  };
-  ASSERT_EQ(run(false), run(true));
+    expect_golden({0, 0x0ULL, 0x942b380c2724e682ULL},
+                  {0, 0, digest_text(kFnvBasis, registry.json(false))},
+                  "logical metrics", threads);
+  }
 }
 
-TEST(EngineSparseDifferential, SpliceForcesDenseAndFlushesParked) {
-  // Spliced stages see the heard slab, whose non-frontier entries are stale
-  // under sparse dispatch, so installing one must drop the engine to dense
-  // rounds -- including mid-run, where already-parked vertices are caught
-  // up (flushed) before the first spliced round.  Seed processes park
-  // forever once their runner is done, making them the sharpest fixture.
-  const auto g = graph::grid(8, 8, 1.0, 1.5);
-  const auto seed_params = seed::SeedAlgParams::make(0.1, g.delta());
-  const auto run = [&](bool sparse) {
-    const auto ids = assign_ids(g.size(), 7);
+SpliceSpec splice(const std::string& text) {
+  SpliceSpec spec;
+  std::string error;
+  EXPECT_TRUE(parse_splice_spec(text, spec, error)) << error;
+  return spec;
+}
+
+TEST(EngineDenseGolden, MidRunDedupInstall) {
+  // A dedup stage spliced in mid-run, while receiving-state LB vertices
+  // sit parked on silent promises: the stage reads only frontier words,
+  // and the run must stay on the dense engine's bytes -- observer stream,
+  // both ledgers, the logical METRICS (stage.dedup.suppressed included).
+  const auto g = graph::grid(10, 10, 1.0, 1.5);
+  lb::LbScales scales;
+  scales.ack_scale = 0.02;
+  const auto params =
+      lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
+  for (std::size_t threads : kThreadCounts) {
+    traffic::TrafficSpec tspec;
+    ASSERT_EQ(traffic::parse_traffic_spec("poisson:0.05", tspec), "");
+    lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
+                         /*master_seed=*/2031);
+    obs::Registry registry;
+    sim.configure(golden_config(threads).with_telemetry(&registry));
+    StreamObserver stream(kLbStreamInterest);
+    sim.add_observer(&stream);
+    sim.add_traffic(traffic::build_source(tspec, g.size(),
+                                          derive_seed(2031, 0x7fcULL)));
+    sim.run_phases(1);
+    sim.run_rounds(params.t_s + 3);  // into the body: receivers are parked
+    sim.configure(EngineConfig{}.with_splice(splice("dedup:2")));
+    sim.run_phases(2);
+    sim.export_telemetry();
+    EXPECT_GT(registry.counter("stage.dedup.suppressed", obs::Domain::kLogical),
+              0u)
+        << "dedup never fired; weak fixture";
+    expect_golden({3092, 0xde81078b158c47cULL, 0xf6883b4262333a43ULL},
+                  {stream.events().size(), digest_lines(stream.events()),
+                   digest_text(digest_words(lb_ledgers(sim)),
+                               registry.json(/*include_timing=*/false))},
+                  "mid-run dedup", threads);
+  }
+}
+
+/// Retransmits one packet per `period`-round epoch (the content is the
+/// epoch number), every round, so a dedup cache sees each key repeatedly.
+class EpochSender final : public Process {
+ public:
+  EpochSender(ProcessId id, Round period) : Process(id), period_(period) {}
+  std::optional<Packet> transmit(RoundContext& ctx) override {
+    const auto epoch = static_cast<std::uint64_t>(ctx.round() / period_);
+    return Packet{id(), DataPayload{MessageId{id(), 1}, epoch}};
+  }
+  void receive(const std::optional<Packet>&, RoundContext&) override {}
+  bool shard_safe() const override { return true; }
+
+ private:
+  Round period_;
+};
+
+/// Never transmits and promises to stay silent indefinitely, so it parks
+/// after every step; real deliveries wake it and are ledgered.
+class ParkedListener final : public Process {
+ public:
+  explicit ParkedListener(ProcessId id) : Process(id) {}
+  std::optional<Packet> transmit(RoundContext&) override {
+    return std::nullopt;
+  }
+  void receive(const std::optional<Packet>& packet,
+               RoundContext& ctx) override {
+    if (!packet.has_value()) return;
+    ++deliveries_;
+    hash_ = splitmix64(hash_ ^ packet->data().content ^
+                       static_cast<std::uint64_t>(ctx.round()));
+  }
+  std::int64_t silent_steps(std::int64_t) override { return 1000; }
+  bool shard_safe() const override { return true; }
+
+  std::uint64_t state() const noexcept { return hash_ ^ deliveries_; }
+
+ private:
+  std::uint64_t deliveries_ = 0;
+  std::uint64_t hash_ = 0x6a09e667f3bcc909ULL;
+};
+
+TEST(EngineDenseGolden, DedupMaskedDeliveryToParkedVertex) {
+  // Sender/listener pairs: each listener parks after every step, and its
+  // sender repeats one packet per epoch.  The first copy of an epoch wakes
+  // the listener; every repeat is masked by dedup and lands on a parked
+  // vertex -- a null reception inside its promise, so it must neither wake
+  // the vertex nor reach it as a packet.
+  const std::size_t pairs = 130;  // n=260: several blocks at every cap
+  graph::DualGraph g(2 * pairs);
+  for (graph::Vertex p = 0; p < pairs; ++p) g.add_reliable_edge(2 * p, 2 * p + 1);
+  g.finalize();
+  for (std::size_t threads : kThreadCounts) {
+    const auto ids = assign_ids(g.size(), 0xDEDULL);
     std::vector<std::unique_ptr<Process>> procs;
-    Rng init(99);
     for (graph::Vertex v = 0; v < g.size(); ++v) {
-      procs.push_back(
-          std::make_unique<seed::SeedProcess>(seed_params, ids[v], init));
+      if (v % 2 == 0) {
+        procs.push_back(std::make_unique<EpochSender>(ids[v], 3 + (v / 2) % 5));
+      } else {
+        procs.push_back(std::make_unique<ParkedListener>(ids[v]));
+      }
     }
-    BernoulliScheduler sched(0.5);
-    Engine engine(g, sched, std::move(procs), 1234);
-    engine.set_sparse_rounds(sparse);
+    ConstantScheduler sched(false);
+    Engine engine(g, sched, std::move(procs), 0xDED);
+    obs::Registry registry;
+    engine.configure(golden_config(threads)
+                         .with_telemetry(&registry)
+                         .with_splice(splice("dedup:4")));
     StreamObserver stream;
     engine.add_observer(&stream);
-    // Phase 1: the full SeedAlg run plus a parked stretch.
-    engine.run_rounds(seed_params.total_rounds() + 16);
-    EXPECT_EQ(engine.sparse_rounds_active(), sparse);
-    // Phase 2: a mid-run noop splice forces dense dispatch from here on
-    // (and flushes the parked cursors); a noop is byte-free, so the dense
-    // reference needs no matching splice semantics.
-    SpliceSpec spec;
-    std::string error;
-    EXPECT_TRUE(parse_splice_spec("noop", spec, error)) << error;
-    EXPECT_EQ(engine.splice_stage(spec), "");
-    EXPECT_FALSE(engine.sparse_rounds_active());
-    engine.run_rounds(12);
-    std::vector<std::uint64_t> decisions;
-    for (graph::Vertex v = 0; v < g.size(); ++v) {
-      const auto& d =
-          dynamic_cast<const seed::SeedProcess&>(engine.process(v)).decision();
-      decisions.push_back(d.has_value() ? d->seed_value ^ (d->owner * 3U) : 0);
+    engine.run_rounds(40);
+    EXPECT_GT(registry.counter("stage.dedup.suppressed", obs::Domain::kLogical),
+              0u);
+    std::vector<std::uint64_t> state;
+    for (graph::Vertex v = 1; v < g.size(); v += 2) {
+      state.push_back(
+          dynamic_cast<const ParkedListener&>(engine.process(v)).state());
     }
-    return std::make_pair(stream.events(), decisions);
-  };
-  const auto dense = run(false);
-  const auto sparse = run(true);
-  ASSERT_EQ(dense.second, sparse.second) << "seed decisions";
-  ASSERT_EQ(dense.first.size(), sparse.first.size());
-  for (std::size_t i = 0; i < dense.first.size(); ++i) {
-    ASSERT_EQ(dense.first[i], sparse.first[i]) << "event " << i;
+    expect_golden({10480, 0x665f9fcb29ddc849ULL, 0x297b2463c0f233eaULL},
+                  {stream.events().size(), digest_lines(stream.events()),
+                   digest_text(digest_words(state),
+                               registry.json(/*include_timing=*/false))},
+                  "masked delivery to parked vertex", threads);
   }
 }
 
@@ -724,7 +876,7 @@ TEST(EngineShardProperty, NonConsentingProcessForcesSerial) {
     }
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, std::move(procs), 99);
-    engine.set_round_threads(threads);
+    engine.configure(EngineConfig{}.with_round_threads(threads));
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(24);

@@ -125,7 +125,7 @@ TEST(EngineFaults, CrashedTransmitterFallsSilent) {
   sim::Engine engine(g, sched, std::move(procs), 42);
   fault::ScriptFaultPlan plan({{3, 0, fault::FaultKind::kCrash},
                                {5, 0, fault::FaultKind::kRecover}});
-  engine.set_fault_plan(&plan);
+  engine.configure(sim::EngineConfig{}.with_fault_plan(&plan));
   engine.run_rounds(8);
   const auto& p1 = dynamic_cast<const SilentProcess&>(engine.process(1));
   std::vector<sim::Round> heard_rounds;
@@ -149,7 +149,7 @@ TEST(EngineFaults, CrashedListenerHearsNothing) {
   sim::Engine engine(g, sched, std::move(procs), 42);
   fault::ScriptFaultPlan plan({{3, 1, fault::FaultKind::kCrash},
                                {4, 1, fault::FaultKind::kRecover}});
-  engine.set_fault_plan(&plan);
+  engine.configure(sim::EngineConfig{}.with_fault_plan(&plan));
   engine.run_rounds(6);
   const auto& p1 = dynamic_cast<const SilentProcess&>(engine.process(1));
   std::vector<sim::Round> heard_rounds;
@@ -211,7 +211,7 @@ TEST(EngineFaults, RedundantEventsAreIgnoredOnce) {
                                {5, 0, fault::FaultKind::kRecover},
                                {6, 0, fault::FaultKind::kRecover}});
   CountingListener listener(probe);
-  engine.set_fault_plan(&plan, &listener);
+  engine.configure(sim::EngineConfig{}.with_fault_plan(&plan, &listener));
   engine.run_rounds(8);
   EXPECT_EQ(probe->crash_rounds, (std::vector<sim::Round>{2}));
   EXPECT_EQ(probe->recover_rounds, (std::vector<sim::Round>{5}));
@@ -247,7 +247,7 @@ TEST(FaultStack, CrashAbortsRequeuesAndTheRecoveredVertexAcksAgain) {
   sim->keep_busy({2});  // a live transmitter for the re-stabilization probe
   fault::ScriptFaultPlan plan({{2, 0, fault::FaultKind::kCrash},
                                {3, 0, fault::FaultKind::kRecover}});
-  sim->set_fault_plan(&plan);
+  sim->configure(sim::EngineConfig{}.with_fault_plan(&plan));
   sim->run_phases(12);
 
   // 501 was in flight at the crash: aborted through the usual path, then
@@ -295,7 +295,7 @@ TEST(FaultChecker, CrashMasksPhaseWindowsIntoTheLedger) {
   // taint covers every vertex, so phase 2 contributes no clean trials.
   fault::ScriptFaultPlan plan(
       {{phase_len + 1, 0, fault::FaultKind::kCrash}});
-  sim->set_fault_plan(&plan);
+  sim->configure(sim::EngineConfig{}.with_fault_plan(&plan));
 
   sim->run_phases(1);
   const auto clean_trials = sim->report().progress.trials();

@@ -51,8 +51,12 @@ std::vector<std::uint64_t> sinr_round(const SinrParams& params,
   channel.bind(g, /*master_seed=*/1);
   Bitmap transmitting(emb.size());
   for (graph::Vertex v : tx) transmitting.set(v);
+  Bitmap frontier(emb.size());
+  channel.fill_frontier(transmitting, frontier);
+  channel.prepare_round(1, transmitting);
   std::vector<std::uint64_t> heard(emb.size(), 0);
-  channel.compute_round(1, transmitting, heard);
+  channel.compute(1, transmitting, heard, frontier, 0,
+                  static_cast<graph::Vertex>(emb.size()));
   return heard;
 }
 

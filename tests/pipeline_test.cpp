@@ -101,7 +101,7 @@ TEST(SpliceGrammar, TapArgumentErrors) {
   EXPECT_NE(parse_error("tap:packet_slab").find("not tappable"),
             std::string::npos);
   // The frontier's activity mask is engine-internal scratch whose contents
-  // are only meaningful mid-round on the sparse path; it is not tappable.
+  // are a dispatch decision, not protocol state; it is not tappable.
   EXPECT_NE(parse_error("tap:activity_mask").find("not tappable"),
             std::string::npos);
   EXPECT_NE(parse_error("tap:heard_words:1,x").find("bad vertex 'x'"),
@@ -462,31 +462,34 @@ TEST(EngineSplice, TapCounterMatchesObserverStream) {
       stream.tx_events());
 }
 
-// ---- EngineConfig vs the deprecated setter surface ----
+// ---- EngineConfig composition ----
 
-TEST(EngineConfigApi, ConfigureMatchesDeprecatedSetters) {
+TEST(EngineConfigApi, SplitConfigureMatchesOneCall) {
+  // Each piece of a config applies only if set, so configuring the thread
+  // cap and the telemetry in two calls equals one combined call.
   const auto g = graph::grid(10, 10, 1.0, 1.5);
-  const auto run = [&](bool use_config) {
+  const auto run = [&](bool split) {
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, repeat_procs(g.size(), 0xC0FFEEULL), 0xC0FFEE);
     obs::Registry registry;
-    if (use_config) {
+    if (split) {
+      engine.configure(EngineConfig().with_round_threads(3));
+      engine.configure(EngineConfig().with_telemetry(&registry));
+    } else {
       engine.configure(
           EngineConfig().with_round_threads(3).with_telemetry(&registry));
-    } else {
-      engine.set_round_threads(3);
-      engine.set_telemetry(&registry);
     }
+    EXPECT_EQ(engine.round_threads(), 3u);
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(24);
     return std::make_pair(stream.events(),
                           registry.json(/*include_timing=*/false));
   };
-  const auto via_setters = run(false);
-  const auto via_config = run(true);
-  EXPECT_EQ(via_setters.first, via_config.first);
-  EXPECT_EQ(via_setters.second, via_config.second);
+  const auto split = run(true);
+  const auto combined = run(false);
+  EXPECT_EQ(split.first, combined.first);
+  EXPECT_EQ(split.second, combined.second);
 }
 
 }  // namespace

@@ -127,7 +127,7 @@ TEST(TraceRecorder, FaultEventsFlowThroughTheEngineSeam) {
   Engine engine(g, sched, std::move(procs), 7);
   fault::ScriptFaultPlan plan({{1, 1, fault::FaultKind::kCrash},
                                {2, 1, fault::FaultKind::kRecover}});
-  engine.set_fault_plan(&plan);
+  engine.configure(EngineConfig{}.with_fault_plan(&plan));
   TraceRecorder trace;
   trace.enable_fault_events(true);
   engine.add_observer(&trace);

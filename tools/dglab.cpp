@@ -509,7 +509,9 @@ int cmd_run(const Flags& flags) {
     trace.enable_fault_events(true);
   }
   sim.add_observer(&trace);
-  if (want_metrics || want_trace) sim.set_telemetry(&registry, sink.get());
+  if (want_metrics || want_trace) {
+    sim.configure(sim::EngineConfig{}.with_telemetry(&registry, sink.get()));
+  }
 
   const std::string traffic_str = flags.str("traffic", "");
   // Flag combinations that would otherwise be silently ignored are
@@ -581,7 +583,7 @@ int cmd_run(const Flags& flags) {
       std::exit(2);
     }
     plan = fault::build_fault_plan(fspec);
-    sim.set_fault_plan(plan.get());
+    sim.configure(sim::EngineConfig{}.with_fault_plan(plan.get()));
     std::cout << "faults: " << faults_str << " (" << plan->name()
               << " plan)\n";
   }

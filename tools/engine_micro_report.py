@@ -80,16 +80,15 @@ def main() -> int:
                 row["round_threads"] = int(parts[2])
             except ValueError:
                 pass
-        # BM_EngineRoundSparse/<n>/<load>/<sparse>: the activity series.
-        # `load` 0/1/2 = dense / ~1% / ~0.1% offered, `sparse` 0/1 = the
-        # dispatch under test; active_fraction comes back as a benchmark
-        # counter (mean fraction of frontier words touched per round).
-        if parts[0] == "BM_EngineRoundSparse" and len(parts) >= 4:
+        # BM_EngineRoundSparse/<n>/<load>: the activity series.  `load`
+        # 0/1/2 = dense / ~1% / ~0.1% offered; active_fraction comes back
+        # as a benchmark counter (mean fraction of frontier words touched
+        # per round).
+        if parts[0] == "BM_EngineRoundSparse" and len(parts) >= 3:
             try:
                 row["n"] = int(parts[1])
                 row["load"] = {0: "dense", 1: "1%", 2: "0.1%"}.get(
                     int(parts[2]), parts[2])
-                row["sparse"] = int(parts[3])
             except ValueError:
                 pass
         if "items_per_second" in bench:
@@ -114,8 +113,7 @@ def main() -> int:
     except OSError:
         pass
 
-    columns = ["benchmark", "n", "round_threads", "load", "sparse",
-               "time_ns", "iterations", "rounds_per_sec", "items_per_sec",
+    columns = ["benchmark", "n", "round_threads", "load", "time_ns", "iterations", "rounds_per_sec", "items_per_sec",
                "active_fraction"]
     report = {
         "elapsed_ms": elapsed_ms,
