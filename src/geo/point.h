@@ -13,6 +13,12 @@ struct Point {
   friend bool operator==(const Point&, const Point&) = default;
 };
 
+/// True iff both coordinates are finite (no NaN, no infinity): the
+/// precondition of every embedding the graph layer accepts.
+inline bool is_finite(const Point& p) noexcept {
+  return std::isfinite(p.x) && std::isfinite(p.y);
+}
+
 inline double distance_sq(const Point& a, const Point& b) noexcept {
   const double dx = a.x - b.x;
   const double dy = a.y - b.y;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "geo/near_pairs.h"
 #include "util/assert.h"
 
 namespace dg::graph {
@@ -81,6 +82,7 @@ void DualGraph::set_embedding(geo::Embedding embedding, double r) {
   check_builder();
   DG_EXPECTS(embedding.size() == n_);
   DG_EXPECTS(r >= 1.0);
+  DG_EXPECTS(std::all_of(embedding.begin(), embedding.end(), geo::is_finite));
   embedding_ = std::move(embedding);
   r_ = r;
 }
@@ -140,12 +142,18 @@ bool is_r_geographic(const DualGraph& g, const geo::Embedding& embedding,
                      double r) {
   DG_EXPECTS(embedding.size() == g.size());
   DG_EXPECTS(r >= 1.0);
+  // (1) only constrains pairs within distance 1: the bucketed walk finds
+  // exactly those, and first checks that every coordinate is finite.
+  bool ok = true;
+  geo::for_each_pair_within(embedding, 1.0, [&](Vertex u, Vertex v, double) {
+    ok = ok && g.has_reliable_edge(u, v);
+  });
+  if (!ok) return false;
+  // (2) only constrains the pairs that are G' edges: one pass over E'.
   const auto n = static_cast<Vertex>(g.size());
   for (Vertex u = 0; u < n; ++u) {
-    for (Vertex v = u + 1; v < n; ++v) {
-      const double d = geo::distance(embedding[u], embedding[v]);
-      if (d <= 1.0 && !g.has_reliable_edge(u, v)) return false;
-      if (d > r && g.has_gprime_edge(u, v)) return false;
+    for (const Vertex v : g.gprime_neighbors(u)) {
+      if (u < v && geo::distance(embedding[u], embedding[v]) > r) return false;
     }
   }
   return true;

@@ -48,7 +48,8 @@ class DualGraph {
   /// Adds {u, v} to E' \ E.  Must not already be reliable.  Idempotent.
   void add_unreliable_edge(Vertex u, Vertex v);
   /// Attaches the plane embedding used to generate the graph (optional; used
-  /// by validators and the analysis tooling, never by algorithms).
+  /// by validators and the analysis tooling, never by algorithms).  Every
+  /// coordinate must be finite.
   void set_embedding(geo::Embedding embedding, double r);
 
   /// Freezes the graph: sorts adjacency, packs it into CSR arrays, computes
@@ -141,7 +142,10 @@ inline std::span<const DualGraph::IncidentEdge> DualGraph::unreliable_incident(
 /// Checks the two r-geographic conditions of Section 2 against an embedding:
 ///   (1) d(u, v) <= 1  implies {u, v} in E;
 ///   (2) d(u, v) > r   implies {u, v} not in E'.
-/// Returns true iff both hold for every vertex pair.
+/// Returns true iff both hold for every vertex pair.  Only the pairs within
+/// distance 1 (found by geo::for_each_pair_within) and the E' edges can
+/// violate a condition, so the check costs O(n + |E'|) expected, not O(n^2).
+/// Every coordinate of the embedding must be finite.
 bool is_r_geographic(const DualGraph& g, const geo::Embedding& embedding,
                      double r);
 

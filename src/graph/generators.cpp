@@ -1,11 +1,11 @@
 #include "graph/generators.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <numbers>
 #include <vector>
 
+#include "geo/near_pairs.h"
 #include "geo/point.h"
 #include "util/assert.h"
 
@@ -13,32 +13,31 @@ namespace dg::graph {
 
 namespace {
 
-/// Wires every vertex pair according to the r-geographic rules, using
-/// `grey_decision` to classify grey-zone pairs (return values: 0 = absent,
-/// 1 = reliable, 2 = unreliable).
+/// Wires every pair within distance r according to the r-geographic rules
+/// (pairs farther apart stay unconnected), using `grey_decision` to classify
+/// grey-zone pairs (return values: 0 = absent, 1 = reliable, 2 =
+/// unreliable).  Pairs arrive in all-pairs (u, v) order, so edge insertion
+/// order (= unreliable edge ids) and every grey-zone RNG draw match a nested
+/// u < v scan.
 template <typename GreyFn>
 void wire_geometric(DualGraph& g, const geo::Embedding& pts, double r,
                     GreyFn&& grey_decision) {
-  const auto n = static_cast<Vertex>(pts.size());
-  for (Vertex u = 0; u < n; ++u) {
-    for (Vertex v = u + 1; v < n; ++v) {
-      const double d = geo::distance(pts[u], pts[v]);
-      if (d <= 1.0) {
-        g.add_reliable_edge(u, v);
-      } else if (d <= r) {
-        switch (grey_decision(u, v, d)) {
-          case 1:
-            g.add_reliable_edge(u, v);
-            break;
-          case 2:
-            g.add_unreliable_edge(u, v);
-            break;
-          default:
-            break;
-        }
-      }
+  geo::for_each_pair_within(pts, r, [&](Vertex u, Vertex v, double d) {
+    if (d <= 1.0) {
+      g.add_reliable_edge(u, v);
+      return;
     }
-  }
+    switch (grey_decision(u, v, d)) {
+      case 1:
+        g.add_reliable_edge(u, v);
+        break;
+      case 2:
+        g.add_unreliable_edge(u, v);
+        break;
+      default:
+        break;
+    }
+  });
 }
 
 }  // namespace
@@ -78,42 +77,7 @@ DualGraph grid(std::size_t cols, std::size_t rows, double spacing, double r) {
     }
   }
   DualGraph g(n);
-  // Lattice fast path: every candidate neighbor sits within
-  // ceil(r / spacing) grid steps, so wire by bounded offset enumeration --
-  // O(n * (r/spacing)^2) instead of the all-pairs O(n^2) scan, which is
-  // what makes the nightly grid:1000x1000 (10^6 vertices, 5*10^11 pairs
-  // all-pairs) campaign feasible.  Candidates are sorted ascending and
-  // classified through geo::distance on the embedded points, so both the
-  // edge insertion order (= unreliable edge ids) and the floating-point
-  // boundary decisions are bit-identical to wire_geometric's scan.
-  const auto reach = static_cast<std::ptrdiff_t>(std::ceil(r / spacing));
-  const auto icols = static_cast<std::ptrdiff_t>(cols);
-  const auto irows = static_cast<std::ptrdiff_t>(rows);
-  std::vector<Vertex> candidates;
-  for (std::ptrdiff_t j = 0; j < irows; ++j) {
-    for (std::ptrdiff_t i = 0; i < icols; ++i) {
-      const Vertex u = static_cast<Vertex>(j * icols + i);
-      candidates.clear();
-      for (std::ptrdiff_t dj = 0; dj <= reach; ++dj) {
-        const std::ptrdiff_t j2 = j + dj;
-        if (j2 >= irows) break;
-        for (std::ptrdiff_t di = (dj == 0 ? 1 : -reach); di <= reach; ++di) {
-          const std::ptrdiff_t i2 = i + di;
-          if (i2 < 0 || i2 >= icols) continue;
-          candidates.push_back(static_cast<Vertex>(j2 * icols + i2));
-        }
-      }
-      std::sort(candidates.begin(), candidates.end());
-      for (const Vertex v : candidates) {
-        const double d = geo::distance(pts[u], pts[v]);
-        if (d <= 1.0) {
-          g.add_reliable_edge(u, v);
-        } else if (d <= r) {
-          g.add_unreliable_edge(u, v);  // grey -> E'\E
-        }
-      }
-    }
-  }
+  wire_geometric(g, pts, r, [](Vertex, Vertex, double) { return 2; });
   g.set_embedding(std::move(pts), r);
   g.finalize();
   return g;

@@ -1,12 +1,19 @@
 // Tests for the plane geometry and the Appendix A region partition:
 // half-open cell assignment, region-graph adjacency, and the f-boundedness
-// property of Lemmas A.1 / A.2.
+// property of Lemmas A.1 / A.2; plus the bucketed near-pair walk against a
+// nested all-pairs loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <tuple>
+#include <vector>
 
+#include "geo/near_pairs.h"
 #include "geo/point.h"
 #include "geo/region_partition.h"
+#include "util/rng.h"
 
 namespace dg::geo {
 namespace {
@@ -192,6 +199,72 @@ TEST(RegionIdHash, DistinguishesNearbyCells) {
   RegionIdHash h;
   EXPECT_NE(h({0, 1}), h({1, 0}));
   EXPECT_EQ(h({3, 4}), h({3, 4}));
+}
+
+
+// ---- for_each_pair_within ----
+
+using PairVisit = std::tuple<std::uint32_t, std::uint32_t, double>;
+
+std::vector<PairVisit> walk(const Embedding& pts, double r) {
+  std::vector<PairVisit> out;
+  for_each_pair_within(pts, r, [&](std::uint32_t u, std::uint32_t v,
+                                   double d) { out.emplace_back(u, v, d); });
+  return out;
+}
+
+std::vector<PairVisit> nested_loop(const Embedding& pts, double r) {
+  std::vector<PairVisit> out;
+  for (std::uint32_t u = 0; u < pts.size(); ++u) {
+    for (std::uint32_t v = u + 1; v < pts.size(); ++v) {
+      const double d = distance(pts[u], pts[v]);
+      if (d <= r) out.emplace_back(u, v, d);
+    }
+  }
+  return out;
+}
+
+TEST(ForEachPairWithin, MatchesNestedLoopOrderAndDistances) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    Embedding pts(300);
+    for (auto& p : pts) {
+      // Snapped to a 1/8 lattice so coincident points and pairs at exactly
+      // the radius occur.
+      p = Point{std::floor(rng.uniform(-4.0, 4.0) * 8.0) / 8.0,
+                std::floor(rng.uniform(-2.0, 6.0) * 8.0) / 8.0};
+    }
+    for (const double r : {0.0, 0.125, 0.5, 1.0, 1.5, 2.5, 100.0}) {
+      EXPECT_EQ(walk(pts, r), nested_loop(pts, r))
+          << "seed " << seed << " r " << r;
+    }
+  }
+}
+
+TEST(ForEachPairWithin, DegenerateEmbeddings) {
+  EXPECT_TRUE(walk({}, 1.0).empty());
+  EXPECT_TRUE(walk({{3.0, 4.0}}, 1.0).empty());
+  const Embedding same(5, Point{-1.0, 2.0});
+  EXPECT_EQ(walk(same, 0.0).size(), 10u);  // every pair coincides
+  const Embedding on_a_line = {{0.0, 0.0}, {1.0, 0.0}, {2.5, 0.0}, {3.0, 0.0}};
+  EXPECT_EQ(walk(on_a_line, 1.0), nested_loop(on_a_line, 1.0));
+}
+
+TEST(ForEachPairWithin, ExtremeExtentsNeedFewCells) {
+  // The cell grid grows with n, not with extent / r: an extent of 2*10^300
+  // makes a 3-cell grid, and one that overflows to inf a single cell.
+  EXPECT_EQ(walk({{-1e300, 1e300}, {1e300, -1e300}, {1e300, -1e300}}, 1.0)
+                .size(),
+            1u);
+  EXPECT_EQ(walk({{-1.7e308, 0.0}, {1.7e308, 0.0}, {1.7e308, 0.0}}, 1.0).size(),
+            1u);
+}
+
+TEST(ForEachPairWithin, NonFiniteCoordinateAborts) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(walk({{0.0, 0.0}, {nan, 0.0}}, 1.0), "precondition");
+  EXPECT_DEATH(walk({{0.0, -inf}, {0.0, 0.0}}, 1.0), "precondition");
 }
 
 }  // namespace
