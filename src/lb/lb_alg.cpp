@@ -7,13 +7,16 @@
 namespace dg::lb {
 
 LbProcess::LbProcess(const LbParams& params, sim::ProcessId id,
-                     graph::Vertex vertex, LbListener* listener)
+                     graph::Vertex vertex, LbListener* listener,
+                     std::uint8_t* busy_flag)
     : sim::Process(id),
       params_(params),
       vertex_(vertex),
       listener_(listener),
+      busy_flag_(busy_flag),
       group_len_(params.group_length()) {
   DG_EXPECTS(params.phases_per_seed >= 1);
+  publish_busy();
 }
 
 sim::MessageId LbProcess::post_bcast(std::uint64_t content) {
@@ -21,6 +24,7 @@ sim::MessageId LbProcess::post_bcast(std::uint64_t content) {
   DG_EXPECTS(!busy());
   const sim::MessageId m{id(), ++next_seq_};
   pending_ = ActiveMessage{m, content, params_.t_ack_phases};
+  publish_busy();
   return m;
 }
 
@@ -33,6 +37,7 @@ std::optional<sim::MessageId> LbProcess::abort() {
     aborted = pending_->id;
     pending_.reset();
   }
+  publish_busy();
   return aborted;
 }
 
@@ -43,6 +48,7 @@ void LbProcess::on_crash(sim::Round round) {
   // dead node cannot keep.
   pending_.reset();
   current_.reset();
+  publish_busy();
   preamble_.reset();
   phase_seed_.reset();
   seed_bits_.reset();
@@ -221,6 +227,7 @@ void LbProcess::end_round(sim::RoundContext& ctx) {
     listener_->on_ack(vertex_, current_->id, t);
   }
   current_.reset();
+  publish_busy();
 }
 
 }  // namespace dg::lb

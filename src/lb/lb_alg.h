@@ -53,8 +53,12 @@ class LbListener {
 class LbProcess final : public sim::Process {
  public:
   /// `vertex` labels outputs; `listener` may be null (outputs dropped).
+  /// `busy_flag`, if set, is this process's byte in an owner's busy slab
+  /// (see LbSimulation): the process stores busy() there at every busy
+  /// transition, so environment steps poll one byte instead of the
+  /// process.  It must outlive the process; no other writer may touch it.
   LbProcess(const LbParams& params, sim::ProcessId id, graph::Vertex vertex,
-            LbListener* listener);
+            LbListener* listener, std::uint8_t* busy_flag = nullptr);
 
   // ---- environment-facing API (round step 1: inputs) ----
 
@@ -162,6 +166,13 @@ class LbProcess final : public sim::Process {
     return pos_in_group_ - params_.t_s;
   }
 
+  /// Stores busy() into the bound busy-slab byte (if any).  Called after
+  /// every change of pending_/current_ that can flip busy(); the
+  /// pending -> current promotion keeps busy() set and needs no store.
+  void publish_busy() noexcept {
+    if (busy_flag_ != nullptr) *busy_flag_ = busy() ? 1 : 0;
+  }
+
   void begin_group(sim::RoundContext& ctx);
   std::optional<sim::Packet> body_transmit(sim::RoundContext& ctx,
                                            std::int64_t body_round);
@@ -170,6 +181,7 @@ class LbProcess final : public sim::Process {
   LbParams params_;
   graph::Vertex vertex_;
   LbListener* listener_;
+  std::uint8_t* busy_flag_;  ///< owner's busy-slab byte; null if standalone
 
   // Incremental round-position cursor (see advance_round_position()).
   std::int64_t group_len_ = 1;

@@ -130,13 +130,15 @@ class LbSimulation::FaultBridge final : public fault::FaultListener {
   LbSimulation* owner_;
 };
 
-/// The injector's view of this simulation: the busy bit and a
+/// The injector's view of this simulation: the busy slab and a
 /// contract-checked bcast post (which also notifies the spec checker).
 class LbSimulation::TrafficPort final : public traffic::LbPort {
  public:
   explicit TrafficPort(LbSimulation& owner) : owner_(&owner) {}
 
-  bool busy(graph::Vertex v) const override { return owner_->busy(v); }
+  std::span<const std::uint8_t> busy_flags() const override {
+    return owner_->busy_;
+  }
   sim::MessageId admit(graph::Vertex v, std::uint64_t content) override {
     return owner_->post_bcast(v, content);
   }
@@ -164,6 +166,7 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
       scheduler_(std::move(scheduler)),
       channel_(std::move(channel)),
       ids_(sim::assign_ids(g.size(), derive_seed(master_seed, 0x1d5ULL))),
+      busy_(g.size(), 0),
       fanout_(std::make_unique<Fanout>(*this, g.size())),
       checker_(std::make_unique<LbSpecChecker>(g, ids_, params)),
       traffic_port_(std::make_unique<TrafficPort>(*this)),
@@ -172,9 +175,12 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
   DG_EXPECTS((scheduler_ != nullptr) != (channel_ != nullptr));
   std::vector<std::unique_ptr<sim::Process>> processes;
   processes.reserve(g.size());
+  processes_.reserve(g.size());
   for (graph::Vertex v = 0; v < static_cast<graph::Vertex>(g.size()); ++v) {
-    processes.push_back(
-        std::make_unique<LbProcess>(params_, ids_[v], v, fanout_.get()));
+    auto p = std::make_unique<LbProcess>(params_, ids_[v], v, fanout_.get(),
+                                         &busy_[v]);
+    processes_.push_back(p.get());
+    processes.push_back(std::move(p));
   }
   engine_ = channel_ != nullptr
                 ? std::make_unique<sim::Engine>(g, *channel_,
@@ -216,12 +222,6 @@ void LbSimulation::configure(const sim::EngineConfig& config) {
 
 LbSimulation::~LbSimulation() = default;
 
-LbProcess& LbSimulation::process(graph::Vertex v) {
-  auto* p = dynamic_cast<LbProcess*>(&engine_->process(v));
-  DG_ASSERT(p != nullptr);
-  return *p;
-}
-
 sim::MessageId LbSimulation::post_bcast(graph::Vertex v,
                                         std::uint64_t content) {
   const sim::MessageId m = process(v).post_bcast(content);
@@ -236,13 +236,6 @@ std::optional<sim::MessageId> LbSimulation::post_abort(graph::Vertex v) {
     traffic_->on_abort(*aborted, engine_->round() + 1);
   }
   return aborted;
-}
-
-bool LbSimulation::busy(graph::Vertex v) const {
-  const auto* p =
-      dynamic_cast<const LbProcess*>(&engine_->process(v));
-  DG_ASSERT(p != nullptr);
-  return p->busy();
 }
 
 void LbSimulation::keep_busy(const std::vector<graph::Vertex>& vertices) {

@@ -29,6 +29,7 @@
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 #include "traffic/injector.h"
+#include "util/assert.h"
 
 namespace dg::lb {
 
@@ -62,7 +63,12 @@ class LbSimulation {
   /// abort frees the service).
   std::optional<sim::MessageId> post_abort(graph::Vertex v);
 
-  bool busy(graph::Vertex v) const;
+  /// The one-outstanding-message busy bit at v, read from the busy slab
+  /// (one byte per vertex, stored by v's LbProcess at each transition).
+  bool busy(graph::Vertex v) const {
+    DG_EXPECTS(v < busy_.size());
+    return busy_[v] != 0;
+  }
 
   /// Attaches a traffic source; sources step each round in attach order.
   void add_traffic(std::unique_ptr<traffic::TrafficSource> source) {
@@ -119,7 +125,10 @@ class LbSimulation {
   const graph::DualGraph& network() const noexcept { return *graph_; }
   const std::vector<sim::ProcessId>& ids() const noexcept { return ids_; }
 
-  LbProcess& process(graph::Vertex v);
+  LbProcess& process(graph::Vertex v) {
+    DG_EXPECTS(v < processes_.size());
+    return *processes_[v];
+  }
   const LbSpecChecker& checker() const noexcept { return *checker_; }
   const LbSpecReport& report() const noexcept { return checker_->report(); }
   const DegradationLedger& ledger() const noexcept {
@@ -168,6 +177,13 @@ class LbSimulation {
   std::unique_ptr<sim::LinkScheduler> scheduler_;
   std::unique_ptr<phys::ChannelModel> channel_;
   std::vector<sim::ProcessId> ids_;
+  /// Busy slab: byte v mirrors process(v).busy().  Each LbProcess writes
+  /// only its own byte (the engine may run end_round block-parallel), and
+  /// the traffic injector reads the slab through TrafficPort::busy_flags().
+  std::vector<std::uint8_t> busy_;
+  /// Typed view of the engine's processes, all created as LbProcess by
+  /// the constructor (the engine owns them and never replaces one).
+  std::vector<LbProcess*> processes_;
   std::unique_ptr<Fanout> fanout_;
   std::unique_ptr<LbSpecChecker> checker_;
   std::unique_ptr<sim::Engine> engine_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string>
 
 #include "util/assert.h"
 
@@ -204,8 +205,16 @@ class Parser {
     const std::size_t line = line_, col = col_;
     bool ok = false;
     switch (peek()) {
-      case '{': ok = parse_object(out); break;
-      case '[': ok = parse_array(out); break;
+      case '{':
+      case '[':
+        if (depth_ == kMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels");
+        }
+        ++depth_;
+        ok = peek() == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        break;
       case '"': {
         std::string s;
         ok = parse_string(s);
@@ -382,6 +391,7 @@ class Parser {
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
   std::size_t col_ = 1;
+  std::size_t depth_ = 0;  ///< open arrays/objects around the cursor
   ParseError error_;
 };
 

@@ -10,6 +10,7 @@
 // re-serialization.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -92,8 +93,14 @@ struct ParseError {
   bool ok() const noexcept { return message.empty(); }
 };
 
+/// Deepest array/object nesting parse() accepts.  The parser (and Value's
+/// destructor) recurse once per level, so a cap keeps hostile input such
+/// as 200 000 '[' a positioned parse error instead of a stack overflow.
+inline constexpr std::size_t kMaxDepth = 256;
+
 /// Parses `text` as one JSON document (trailing whitespace allowed,
-/// anything else after the document is an error).
+/// anything else after the document is an error; so is nesting deeper
+/// than kMaxDepth).
 ParseError parse(const std::string& text, Value& out);
 
 /// Canonical number formatting shared by every scn JSON emitter: integers

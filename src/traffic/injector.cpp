@@ -8,14 +8,16 @@ namespace dg::traffic {
 
 /// Admission facade handed to sources: routes offers into the owning
 /// injector's queues and answers state queries.  `round_` carries the
-/// round currently being stepped.
+/// round currently being stepped; `busy_` is the service's busy slab.
 class Injector::Port final : public Admission {
  public:
-  Port(Injector& owner, sim::Round round) : owner_(&owner), round_(round) {}
+  Port(Injector& owner, sim::Round round, std::span<const std::uint8_t> busy)
+      : owner_(&owner), round_(round), busy_(busy) {}
 
   std::size_t nodes() const override { return owner_->queues_.size(); }
   bool service_busy(graph::Vertex v) const override {
-    return owner_->port_->busy(v);
+    DG_EXPECTS(v < busy_.size());
+    return busy_[v] != 0;
   }
   std::size_t queue_depth(graph::Vertex v) const override {
     return owner_->queues_[v].size();
@@ -30,6 +32,7 @@ class Injector::Port final : public Admission {
  private:
   Injector* owner_;
   sim::Round round_;
+  std::span<const std::uint8_t> busy_;
 };
 
 Injector::Injector(std::size_t nodes, LbPort& port)
@@ -37,7 +40,9 @@ Injector::Injector(std::size_t nodes, LbPort& port)
       queues_(nodes),
       arrival_counter_(nodes, 0),
       down_(nodes, false),
-      inflight_(nodes, 0) {}
+      inflight_(nodes, 0) {
+  DG_EXPECTS(port.busy_flags().size() == nodes);
+}
 
 void Injector::add_source(std::unique_ptr<TrafficSource> source) {
   DG_EXPECTS(source != nullptr);
@@ -71,7 +76,8 @@ void Injector::step(sim::Round round) {
   if (sources_.empty() && active_.empty()) return;
 
   // 1. Arrival step: sources offer, in attach order (keep_busy call order).
-  Port port(*this, round);
+  const std::span<const std::uint8_t> busy = port_->busy_flags();
+  Port port(*this, round, busy);
   for (const auto& source : sources_) source->step(port, round);
 
   // 2. Admission step: each idle node with a non-empty queue takes its
@@ -84,7 +90,7 @@ void Injector::step(sim::Round round) {
   std::size_t keep = 0;
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const graph::Vertex v = active_[i];
-    if (!down_[v] && !port_->busy(v)) {
+    if (!down_[v] && busy[v] == 0) {
       const std::size_t index = queues_[v].front();
       queues_[v].pop_front();
       MessageRecord& rec = records_[index];

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -33,8 +34,11 @@ namespace dg::traffic {
 class LbPort {
  public:
   virtual ~LbPort() = default;
-  /// The service's one-outstanding busy bit at v.
-  virtual bool busy(graph::Vertex v) const = 0;
+  /// The service's one-outstanding busy bits: one byte per vertex, nonzero
+  /// while v has a message outstanding.  Byte v is written only by v's own
+  /// LbProcess, at its busy transitions.  The span views live memory for
+  /// the port's lifetime, so an admit() shows in it at once.
+  virtual std::span<const std::uint8_t> busy_flags() const = 0;
   /// Posts bcast(m) at v (contract: only when !busy(v)); returns m's id.
   virtual sim::MessageId admit(graph::Vertex v, std::uint64_t content) = 0;
 };

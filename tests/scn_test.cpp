@@ -61,6 +61,33 @@ TEST(Json, RejectsTrailingContent) {
   EXPECT_FALSE(json::parse("", v).ok());
 }
 
+TEST(Json, NestingIsCappedWithAPositionedError) {
+  json::Value v;
+  const std::string ok_text =
+      std::string(json::kMaxDepth, '[') + std::string(json::kMaxDepth, ']');
+  EXPECT_TRUE(json::parse(ok_text, v).ok());
+
+  const std::string deeper = "[" + ok_text + "]";
+  auto err = json::parse(deeper, v);
+  ASSERT_FALSE(err.ok());
+  EXPECT_EQ(err.line, 1u);
+  EXPECT_EQ(err.col, json::kMaxDepth + 1);  // the first '[' past the cap
+  EXPECT_NE(err.message.find("nesting deeper than"), std::string::npos)
+      << err.message;
+
+  // The hostile file that used to overflow the stack: 200 000 '['.  It
+  // fails with the usual file:line:col.
+  const CampaignParse deep =
+      parse_campaign_text(std::string(200'000, '['), "deep.json");
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.error.rfind("deep.json:1:257: nesting deeper than", 0), 0u)
+      << deep.error;
+  // Objects count toward the same cap.
+  err = json::parse("{\"a\": " + std::string(300, '['), v);
+  ASSERT_FALSE(err.ok());
+  EXPECT_EQ(err.col, 7u + json::kMaxDepth - 1);
+}
+
 TEST(Json, ValuesRememberPositions) {
   json::Value v;
   ASSERT_TRUE(json::parse("{\n  \"k\": 7\n}", v).ok());

@@ -2,8 +2,8 @@
 // admission order, one-outstanding admission, capacity drops), abort
 // interaction with queued messages, MessageId uniqueness under heavy
 // enqueue, bit-for-bit equivalence of the Saturate source with the
-// historical hard-wired keep_busy environment, and the shared traffic
-// spec grammar.
+// historical hard-wired keep_busy environment, the busy slab the
+// environment step polls, and the shared traffic spec grammar.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,12 +12,15 @@
 #include <utility>
 #include <vector>
 
+#include "fault/plan.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
+#include "sim/engine_config.h"
 #include "sim/scheduler.h"
 #include "traffic/injector.h"
 #include "traffic/source.h"
 #include "traffic/spec.h"
+#include "util/rng.h"
 
 namespace dg::traffic {
 namespace {
@@ -230,6 +233,117 @@ TEST(Saturate, MatchesLegacyKeepBusyBitForBit) {
     t.insert({rec.origin, rec.input_round, rec.ack_round});
   }
   EXPECT_EQ(l, t);
+}
+
+// ---- busy slab ----
+
+/// LbSimulation::busy() reads the flat busy slab that each LbProcess writes
+/// at its own busy transitions (post_bcast, abort, crash, ack in the
+/// block-parallel end_round).  Runs hotspot traffic plus random direct
+/// inputs between rounds and checks the slab against every process's own
+/// busy() after each input batch and each round.  With `bare`, the inputs
+/// go to the process itself (bypassing the wrapper, as bare-engine benches
+/// do) and faults stay off: the spec checker never learns of bare posts,
+/// so a crash-abort of one would break its contract.  Otherwise the inputs
+/// are the wrapper's post_bcast/post_abort under Poisson churn.
+void check_busy_slab(std::size_t threads, bool bare) {
+  const auto g = graph::grid(16, 12, 1.0, 1.5);  // 192 vertices, 3 blocks
+  TrafficSpec hotspot;
+  ASSERT_EQ(parse_traffic_spec("hotspot:2:0.6:8", hotspot), "");
+  auto sim = make_sim(g, 404);
+  sim->add_traffic(build_source(hotspot, g.size(), 17));
+  fault::PoissonFaultPlan churn(0.5, 20.0);
+  sim::EngineConfig config = sim::EngineConfig{}.with_round_threads(threads);
+  if (!bare) config.with_fault_plan(&churn);
+  sim->configure(config);
+
+  // Bare mode aborts only its own posts (the checker tracks the rest).  A
+  // bare post stays outstanding until v is seen idle: acks land at the end
+  // of a round, admissions at the start of the next run_round().
+  std::vector<bool> bare_posted(g.size(), false);
+  const auto check = [&](const char* when) {
+    for (graph::Vertex v = 0; v < static_cast<graph::Vertex>(g.size());
+         ++v) {
+      ASSERT_EQ(sim->busy(v), sim->process(v).busy())
+          << when << ": vertex " << v << " after round " << sim->round();
+      if (!sim->busy(v)) bare_posted[v] = false;
+    }
+  };
+  Rng pick(99);
+  std::uint64_t content = 1'000'000;
+  std::size_t posts = 0;
+  std::size_t aborts = 0;
+  const std::int64_t rounds = 6 * sim->params().phase_length();
+  for (std::int64_t i = 0; i < rounds; ++i) {
+    for (int k = 0; k < 3; ++k) {
+      const auto v = static_cast<graph::Vertex>(pick.below(g.size()));
+      if (sim->engine().crashed(v)) continue;
+      lb::LbProcess& p = sim->process(v);
+      if (!p.busy()) {
+        bare_posted[v] = bare;
+        if (bare) {
+          p.post_bcast(++content);
+        } else {
+          sim->post_bcast(v, ++content);
+        }
+        ++posts;
+      } else if (pick.below(4) == 0 && (!bare || bare_posted[v])) {
+        if (bare) {
+          p.abort();
+        } else {
+          sim->post_abort(v);
+        }
+        ++aborts;
+      }
+    }
+    check("after direct inputs");
+    sim->run_round();
+    check("after run_round");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(posts, 0u);
+  EXPECT_GT(aborts, 0u);
+  EXPECT_EQ(sim->ledger().crashes > 0, !bare);
+  EXPECT_GT(sim->report().ack_count, 0u);
+  EXPECT_GT(sim->traffic().stats().admitted, 0u);
+}
+
+/// The writer side in isolation: a process bound to a slab byte stores it
+/// at each busy transition, including a crash that finds a message still
+/// outstanding (inside LbSimulation the fault bridge aborts it first).
+TEST(BusySlab, ProcessStoresItsByteAtEachTransition) {
+  const auto g = graph::clique_cluster(2);
+  std::uint8_t flag = 7;  // overwritten at construction
+  lb::LbProcess p(small_params(g), 1, 0, nullptr, &flag);
+  EXPECT_EQ(flag, 0);
+  p.post_bcast(1);
+  EXPECT_EQ(flag, 1);
+  ASSERT_TRUE(p.abort().has_value());
+  EXPECT_EQ(flag, 0);
+  p.post_bcast(2);
+  EXPECT_EQ(flag, 1);
+  p.on_crash(1);
+  EXPECT_FALSE(p.busy());
+  EXPECT_EQ(flag, 0);
+
+  // Standalone processes have no slab and behave the same.
+  lb::LbProcess bare(small_params(g), 2, 1, nullptr);
+  bare.post_bcast(1);
+  EXPECT_TRUE(bare.busy());
+}
+
+TEST(BusySlab, MirrorsProcessBusyUnderChurnAndDirectPosts) {
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    check_busy_slab(threads, /*bare=*/false);
+  }
+}
+
+TEST(BusySlab, MirrorsProcessBusyUnderBareProcessInputs) {
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    check_busy_slab(threads, /*bare=*/true);
+  }
 }
 
 // ---- spec grammar ----

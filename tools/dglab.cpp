@@ -50,12 +50,15 @@
 //   grid:32x32 | geometric:256 | clique:16 | star:16 | line:16
 //
 // Unknown --flags are rejected (a typo like --schd= must not silently run
-// the default configuration).  When the first argument is a --flag the
-// `run` subcommand is implied: `dglab --topology=grid:8x8 --phases=10`.
+// the default configuration), and so are out-of-range numbers: --n >= 1,
+// 0 < --eps <= 0.5, --r >= 1 and --phases >= 0, as in the scenario schema.
+// When the first argument is a --flag the `run` subcommand is implied:
+// `dglab --topology=grid:8x8 --phases=10`.
 //
 // Example:
 //   dglab run --type=geometric --n=48 --sched=bernoulli:0.5 --phases=40
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -209,6 +212,44 @@ bool parse_uint(const std::string& s, std::uint64_t& out) {
   }
   out = std::strtoull(s.c_str(), nullptr, 10);
   return true;
+}
+
+/// Strict finite-number parse for numeric flags (strtod alone would read
+/// "abc" as 0 and ignore trailing junk).
+bool parse_number(const std::string& s, double& out) {
+  if (s.empty()) return false;
+  char* end = nullptr;
+  out = std::strtod(s.c_str(), &end);
+  return end == s.c_str() + s.size() && std::isfinite(out);
+}
+
+/// Range-checks the numeric flags the library contract-checks, against the
+/// bounds the scenario schema (scn/scenario.cpp) enforces for the same
+/// keys: n >= 1, eps1 in (0, 0.5], r >= 1, and a non-negative phase count.
+/// A bad value exits 2 naming the flag instead of aborting inside a
+/// generator, LbParams or the run loop.
+void check_numeric_flags(const Flags& flags) {
+  const auto reject = [&](const char* flag, const std::string& rule) {
+    std::cerr << "dglab: --" << flag << ": " << rule << "; got '"
+              << flags.str(flag, "") << "'\n";
+    std::exit(2);
+  };
+  std::uint64_t count = 0;
+  double x = 0.0;
+  if (flags.flag("n") &&
+      (!parse_uint(flags.str("n", ""), count) || count == 0)) {
+    reject("n", "n must be an integer >= 1");
+  }
+  if (flags.flag("eps") &&
+      !(parse_number(flags.str("eps", ""), x) && x > 0.0 && x <= 0.5)) {
+    reject("eps", "eps1 must be in (0, 0.5]");
+  }
+  if (flags.flag("r") && !(parse_number(flags.str("r", ""), x) && x >= 1.0)) {
+    reject("r", "r must be >= 1");
+  }
+  if (flags.flag("phases") && !parse_uint(flags.str("phases", ""), count)) {
+    reject("phases", "phases must be an integer >= 0");
+  }
 }
 
 /// Expands the --topology=family:args alias (grid:32x32, geometric:256,
@@ -747,6 +788,7 @@ int main(int argc, char** argv) {
     std::cerr << "\n";
     return 2;
   }
+  check_numeric_flags(flags);
   // Traffic flags only apply to `run`; the other subcommands drive their
   // own environments, and silently ignoring the flags there would break
   // the no-silent-ignore policy the run command enforces.
