@@ -43,7 +43,7 @@ void DecayProcess::receive(const std::optional<sim::Packet>& packet,
                            sim::RoundContext& ctx) {
   if (!packet.has_value() || !packet->is_data()) return;
   const sim::DataPayload& data = packet->data();
-  if (!seen_.insert(data.id).second) return;
+  if (!seen_.admit(data.id)) return;
   if (listener_ != nullptr) {
     listener_->on_recv(vertex_, data.id, data.content, ctx.round());
   }

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 
 #include "graph/dual_graph.h"
 #include "lb/lb_alg.h"
@@ -68,7 +67,7 @@ class DecayProcess final : public sim::Process {
   lb::LbListener* listener_;
   std::optional<ActiveMessage> current_;
   std::uint32_t next_seq_ = 0;
-  std::unordered_set<sim::MessageId, sim::MessageIdHash> seen_;
+  sim::HighWaterFilter seen_;
 };
 
 }  // namespace dg::baseline

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/dual_graph.h"
@@ -64,7 +63,7 @@ class TdmaProcess final : public sim::Process {
   lb::LbListener* listener_;
   std::optional<ActiveMessage> current_;
   std::uint32_t next_seq_ = 0;
-  std::unordered_set<sim::MessageId, sim::MessageIdHash> seen_;
+  sim::HighWaterFilter seen_;
 };
 
 }  // namespace dg::baseline

@@ -208,7 +208,7 @@ void LbProcess::receive(const std::optional<sim::Packet>& packet,
 }
 
 void LbProcess::handle_data(const sim::DataPayload& data, sim::Round round) {
-  if (!seen_.insert(data.id).second) return;  // already received before
+  if (!seen_.admit(data.id)) return;  // already received before
   ++recv_count_;
   if (listener_ != nullptr) {
     listener_->on_recv(vertex_, data.id, data.content, round);

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 
 #include "graph/dual_graph.h"
 #include "lb/params.h"
@@ -104,8 +103,9 @@ class LbProcess final : public sim::Process {
   /// consuming no receptions -- until the next group start hands it a fresh
   /// SeedAlg preamble, since it cannot hold a group seed it never agreed
   /// on.  Identity-level facts survive both: the id, the message sequence
-  /// counter (recovered nodes must not reuse MessageIds) and the seen-set
-  /// (no duplicate recv outputs for pre-crash receptions).
+  /// counter (recovered nodes must not reuse MessageIds) and the per-origin
+  /// high-water marks of received messages (no duplicate recv outputs for
+  /// pre-crash receptions).
   void on_crash(sim::Round round) override;
   void on_recover(sim::Round round) override;
 
@@ -199,7 +199,7 @@ class LbProcess final : public sim::Process {
   std::optional<seed::SeedDecision> phase_seed_;
   std::optional<SeedBits> seed_bits_;
 
-  std::unordered_set<sim::MessageId, sim::MessageIdHash> seen_;
+  sim::HighWaterFilter seen_;  ///< receive dedup: highest seq per origin
   std::uint64_t recv_count_ = 0;
   std::uint64_t ack_count_ = 0;
 };

@@ -99,7 +99,9 @@ class ChannelModel {
   /// heard[u] for every u in a non-zero word of `frontier` inside the
   /// range, reading whatever prepare_round() staged.  The caller pre-zeroes
   /// heard over exactly those words; entries outside them must not be
-  /// written.  May be called concurrently for disjoint ranges; the words
+  /// written.  An implementation may compute the range here or stage the
+  /// whole round in prepare_round() and only hand the range's words over.
+  /// May be called concurrently for disjoint ranges; the words
   /// written must not depend on how the caller split the vertex set.
   /// `heard` is the full vertex-indexed span.
   virtual void compute(sim::Round round, const Bitmap& transmitting,

@@ -1,5 +1,7 @@
 #include "phys/dual_graph_channel.h"
 
+#include <algorithm>
+
 #include "sim/adaptive.h"
 #include "util/rng.h"
 
@@ -13,6 +15,7 @@ void DualGraphChannel::bind(const graph::DualGraph& g,
   // (instead of in the engine) must not move any scheduler RNG draw.
   scheduler_->commit(g, derive_seed(master_seed, /*stream=*/0x5c4edULL));
   edge_active_.resize(g.unreliable_edge_count());
+  staged_.assign(g.size(), 0);
 }
 
 void DualGraphChannel::prepare_round(sim::Round round,
@@ -44,9 +47,8 @@ void DualGraphChannel::prepare_round(sim::Round round,
     adaptive_->plan_round(round, g, transmitting_bools_);
     adaptive_->fill_round(edge_active_);
   } else if (unreliable_probes == 0) {
-    // No transmitter has unreliable incidence, so neither the scatter nor
-    // the gather (transmitting test first) probes an edge; edge_active_
-    // may be stale and is never read.
+    // No transmitter has unreliable incidence, so the scatter below probes
+    // no edge; edge_active_ may be stale and is never read.
     use_bitmap_ = false;
   } else if (scheduler_->fill_round_is_word_cheap() ||
              unreliable_probes * 2 >= edge_active_.size()) {
@@ -54,57 +56,45 @@ void DualGraphChannel::prepare_round(sim::Round round,
   } else {
     use_bitmap_ = false;
   }
+
+  // Fused heard-count/heard-from scatter, once per round whatever the
+  // thread count: one packed word per vertex (high 32 bits last sender,
+  // low 32 bits count) over CSR adjacency.  for_each_set scans ascending,
+  // so the sender is the largest transmitting round-neighbor.  Every write
+  // lands in a frontier word, where compute() picks it up.
+  const bool use_bitmap = use_bitmap_;
+  const auto edge_active = [&](std::size_t edge) {
+    return use_bitmap ? edge_active_.test(edge)
+                      : scheduler_->active(edge, round);
+  };
+  transmitting.for_each_set([&](std::size_t vi) {
+    const auto v = static_cast<graph::Vertex>(vi);
+    const std::uint64_t sender_word = static_cast<std::uint64_t>(v) << 32;
+    for (graph::Vertex u : g.g_neighbors(v)) {
+      staged_[u] = sender_word | ((staged_[u] + 1) & 0xffffffffULL);
+    }
+    for (const auto& [edge, u] : g.unreliable_incident(v)) {
+      if (edge_active(edge)) {
+        staged_[u] = sender_word | ((staged_[u] + 1) & 0xffffffffULL);
+      }
+    }
+  });
 }
 
 void DualGraphChannel::compute(sim::Round round, const Bitmap& transmitting,
                                std::span<std::uint64_t> heard,
                                const Bitmap& frontier, graph::Vertex begin,
                                graph::Vertex end) {
-  const graph::DualGraph& g = *graph_;
-  const bool use_bitmap = use_bitmap_;
-  const auto edge_active = [&](std::size_t edge) {
-    return use_bitmap ? edge_active_.test(edge)
-                      : scheduler_->active(edge, round);
-  };
-  if (begin == 0 && end == g.size()) {
-    // Fused heard-count/heard-from scatter: one packed word per vertex
-    // (high 32 bits last sender, low 32 bits count), over CSR adjacency.
-    transmitting.for_each_set([&](std::size_t vi) {
-      const auto v = static_cast<graph::Vertex>(vi);
-      const std::uint64_t sender_word = static_cast<std::uint64_t>(v) << 32;
-      for (graph::Vertex u : g.g_neighbors(v)) {
-        heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
-      }
-      for (const auto& [edge, u] : g.unreliable_incident(v)) {
-        if (edge_active(edge)) {
-          heard[u] = sender_word | ((heard[u] + 1) & 0xffffffffULL);
-        }
-      }
-    });
-    return;
-  }
-  // Receiver-side gather over the range's frontier words: writes stay
-  // inside the caller's range, so concurrent ranges never contend.  The
-  // transmitting test comes first, so a stale edge_active_ is never read.
+  (void)round;
+  (void)transmitting;
+  // heard is zero over the range's frontier words, and staged_ holds the
+  // round's words there: the swap delivers them and re-zeroes staged_ for
+  // the next round's scatter.
   frontier.for_each_nonzero_run(begin, end, [&](std::size_t lo,
                                                 std::size_t hi) {
-    for (auto u = static_cast<graph::Vertex>(lo); u < hi; ++u) {
-      std::uint64_t count = 0;
-      graph::Vertex from = 0;
-      for (graph::Vertex v : g.g_neighbors(u)) {
-        if (transmitting.test(v)) {
-          ++count;
-          if (v > from) from = v;
-        }
-      }
-      for (const auto& [edge, v] : g.unreliable_incident(u)) {
-        if (transmitting.test(v) && edge_active(edge)) {
-          ++count;
-          if (v > from) from = v;
-        }
-      }
-      if (count != 0) heard[u] = heard_word(from, count);
-    }
+    std::swap_ranges(staged_.begin() + static_cast<std::ptrdiff_t>(lo),
+                     staged_.begin() + static_cast<std::ptrdiff_t>(hi),
+                     heard.begin() + static_cast<std::ptrdiff_t>(lo));
   });
 }
 

@@ -10,7 +10,9 @@
 // extraction is bit-for-bit.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "phys/channel.h"
 #include "sim/scheduler.h"
@@ -33,15 +35,13 @@ class DualGraphChannel final : public ChannelModel {
   /// incident endpoint, whether or not the edge fires -- a schedule-
   /// independent superset, so the mask never consumes a scheduler draw.
   void fill_frontier(const Bitmap& transmitting, Bitmap& frontier) override;
-  /// Runs the strategy block (adaptive plan, bulk fill vs per-edge probes).
+  /// Runs the strategy block (adaptive plan, bulk fill vs per-edge
+  /// probes), then scatters from the transmitters over their CSR adjacency
+  /// into staged_: one pass of sum deg(tx) per round, whatever the thread
+  /// count.
   void prepare_round(sim::Round round, const Bitmap& transmitting) override;
-  /// Over the whole vertex range, *scatters* from the transmitters (cheap
-  /// when rounds are sparse in transmitters; every write lands in the
-  /// frontier).  Over a partial range, *gathers* per receiver in the
-  /// range's frontier words -- count and max transmitting round-neighbor
-  /// over u's own adjacency -- which equals the scatter's packed word
-  /// exactly: the scatter's last writer is the largest transmitting
-  /// neighbor because for_each_set scans ascending.
+  /// Moves the staged words of the range's frontier words into heard (every
+  /// scatter write lands in the frontier), leaving staged_ zero there.
   void compute(sim::Round round, const Bitmap& transmitting,
                std::span<std::uint64_t> heard, const Bitmap& frontier,
                graph::Vertex begin, graph::Vertex end) override;
@@ -61,6 +61,9 @@ class DualGraphChannel final : public ChannelModel {
   /// Strategy picked by prepare_round() for the round's compute() calls:
   /// probe edge_active_ (true) or scheduler_->active() (false).
   bool use_bitmap_ = false;
+  /// This round's packed heard words, written by prepare_round() and
+  /// handed over (and re-zeroed) by compute(); zero between rounds.
+  std::vector<std::uint64_t> staged_;
 };
 
 }  // namespace dg::phys

@@ -6,8 +6,10 @@
 // packets regardless of kind.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <variant>
+#include <vector>
 
 namespace dg::sim {
 
@@ -31,6 +33,33 @@ struct MessageIdHash {
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
     return static_cast<std::size_t>(x ^ (x >> 27));
   }
+};
+
+/// Receive-side duplicate filter: the highest sequence number received per
+/// origin, in a flat vector sorted by origin.  Exact for every process in
+/// this repo: an origin only ever transmits its own current message, and
+/// its sequence numbers rise monotonically (across crash and recovery
+/// too), so any id at or below its origin's mark was received before.
+/// Costs one entry per distinct origin heard -- bounded by the G'-degree --
+/// instead of one per message ever received.
+class HighWaterFilter {
+ public:
+  /// Records `m`; true iff it is new.
+  bool admit(const MessageId& m) {
+    const auto it = std::lower_bound(
+        marks_.begin(), marks_.end(), m.origin,
+        [](const MessageId& mark, ProcessId o) { return mark.origin < o; });
+    if (it == marks_.end() || it->origin != m.origin) {
+      marks_.insert(it, m);
+      return true;
+    }
+    if (m.seq <= it->seq) return false;
+    it->seq = m.seq;
+    return true;
+  }
+
+ private:
+  std::vector<MessageId> marks_;  ///< one per origin, ascending by origin
 };
 
 /// Seed-agreement payload: "(j, s)" from Section 3.2.

@@ -41,24 +41,62 @@ class SeedBits {
   /// Consumes the next k bits (k in [0, 64]) and returns them as an integer.
   std::uint64_t take(int k) {
     DG_EXPECTS(k >= 0 && k <= 64);
-    std::uint64_t value = 0;
-    for (int i = 0; i < k; ++i) {
-      value = (value << 1) | static_cast<std::uint64_t>(bit_at(cursor_++));
-    }
-    return value;
+    if (k == 0) return 0;
+    // window() holds the first bit consumed in bit 0; take() wants it in
+    // bit k-1.
+    return reverse_bits(window(k)) >> (64 - k);
   }
 
   /// True iff the next k bits are all zero; consumes them.
   /// (LBAlg's participant rule: "if all of these bits are 0".)
-  bool take_all_zero(int k) { return take(k) == 0; }
+  bool take_all_zero(int k) {
+    DG_EXPECTS(k >= 0 && k <= 64);
+    return k == 0 || window(k) == 0;
+  }
 
   /// Repositions the cursor (used to align all group members at a round
   /// boundary regardless of how many bits each consumed earlier).
   void seek(std::uint64_t bit_index) noexcept { cursor_ = bit_index; }
 
  private:
+  /// Word `index` of the expanded stream: bit_at(64 * index + i) is its
+  /// bit i.  The last word read is cached, so a run of short takes costs
+  /// one expansion per 64 bits.
+  std::uint64_t word(std::uint64_t index) noexcept {
+    if (index != cached_index_) {
+      cached_index_ = index;
+      cached_word_ = splitmix64(seed_value_ ^ splitmix64(index));
+    }
+    return cached_word_;
+  }
+
+  /// Consumes the next k bits (k in [1, 64]), first bit in bit 0.
+  std::uint64_t window(int k) noexcept {
+    const std::uint64_t index = cursor_ / 64;
+    const auto offset = static_cast<int>(cursor_ % 64);
+    cursor_ += static_cast<std::uint64_t>(k);
+    std::uint64_t bits = word(index) >> offset;
+    if (offset + k > 64) bits |= word(index + 1) << (64 - offset);
+    return k == 64 ? bits : bits & ((std::uint64_t{1} << k) - 1);
+  }
+
+  static constexpr std::uint64_t reverse_bits(std::uint64_t x) noexcept {
+    constexpr std::uint64_t kMasks[] = {
+        0x5555555555555555ULL, 0x3333333333333333ULL, 0x0f0f0f0f0f0f0f0fULL,
+        0x00ff00ff00ff00ffULL, 0x0000ffff0000ffffULL};
+    int shift = 1;
+    for (const std::uint64_t m : kMasks) {
+      x = ((x >> shift) & m) | ((x & m) << shift);
+      shift *= 2;
+    }
+    return (x >> 32) | (x << 32);
+  }
+
   std::uint64_t seed_value_;
   std::uint64_t cursor_ = 0;
+  /// No word index reaches 2^58, so this never matches before a read.
+  std::uint64_t cached_index_ = ~std::uint64_t{0};
+  std::uint64_t cached_word_ = 0;
 };
 
 }  // namespace dg

@@ -71,8 +71,6 @@ class Rng {
   /// Raw 64 uniform bits.
   std::uint64_t bits() { return engine_(); }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
 };

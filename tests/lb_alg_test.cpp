@@ -1,13 +1,23 @@
 // Unit tests for LbProcess: phase structure (preamble vs body traffic),
-// sending-state lifecycle, ack timing, recv dedup, and the environment
-// contract.
+// sending-state lifecycle, ack timing, recv dedup (the per-origin
+// high-water filter, checked against a set of every id ever heard), and
+// the environment contract.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <unordered_set>
+#include <vector>
 
+#include "fault/spec.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
+#include "sim/engine_config.h"
 #include "sim/scheduler.h"
+#include "sim/splice.h"
+#include "traffic/spec.h"
+#include "util/rng.h"
 
 namespace dg::lb {
 namespace {
@@ -194,6 +204,178 @@ TEST(LbProcess, IdleNetworkStaysSilentInBody) {
   sim.run_phases(2);
   EXPECT_EQ(sim.report().raw_receptions, 0u);
   EXPECT_EQ(sim.report().recv_count, 0u);
+}
+
+/// Records every recv output, per vertex, in output order.
+class RecvLog final : public LbListener {
+ public:
+  explicit RecvLog(std::size_t n) : recvs(n) {}
+  void on_ack(graph::Vertex, const sim::MessageId&, sim::Round) override {}
+  void on_recv(graph::Vertex vertex, const sim::MessageId& m, std::uint64_t,
+               sim::Round) override {
+    recvs[vertex].push_back(m);
+  }
+  std::vector<std::vector<sim::MessageId>> recvs;
+};
+
+/// The reference receive filter: every data delivery the engine hands a
+/// vertex, deduplicated by a set of every MessageId it ever heard.  A
+/// recovered vertex ignores its receptions until the next group start
+/// (LbProcess::on_recover), so deliveries inside that window are skipped.
+class SetDedup final : public sim::Observer {
+ public:
+  SetDedup(std::size_t n, std::int64_t group_length)
+      : expected(n), group_length_(group_length), passive_until_(n, 0),
+        seen_(n) {}
+  unsigned interest() const override { return kReceive | kFault; }
+  void on_receive(sim::Round round, graph::Vertex u, graph::Vertex,
+                  const sim::Packet& packet) override {
+    if (!packet.is_data()) return;
+    ++raw;
+    if (round < passive_until_[u]) {
+      ++ignored;
+      return;
+    }
+    if (seen_[u].insert(packet.data().id).second) {
+      expected[u].push_back(packet.data().id);
+    }
+  }
+  void on_recover(sim::Round round, graph::Vertex v) override {
+    const std::int64_t pos = (round - 1) % group_length_;
+    passive_until_[v] = pos == 0 ? round : round + group_length_ - pos;
+  }
+
+  std::vector<std::vector<sim::MessageId>> expected;  ///< per vertex
+  std::uint64_t raw = 0;      ///< data deliveries seen
+  std::uint64_t ignored = 0;  ///< ... of which to recovering vertices
+
+ private:
+  std::int64_t group_length_;
+  std::vector<sim::Round> passive_until_;
+  std::vector<std::unordered_set<sim::MessageId, sim::MessageIdHash>> seen_;
+};
+
+TEST(LbProcess, HighWaterDedupMatchesSetDedupUnderChurnAndSplices) {
+  // Poisson churn under open-loop and hotspot traffic, with and without a
+  // dedup splice masking repeats, at 1 and 4 round threads: each vertex's
+  // recv outputs must be exactly the set-deduplicated data deliveries.
+  Rng graph_rng(1405);
+  graph::GeometricSpec spec;
+  spec.n = 200;
+  spec.side = 9.0;
+  const auto g = graph::random_geometric(spec, graph_rng);
+  LbScales scales;
+  scales.ack_scale = 0.02;
+  const auto params =
+      LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
+  struct Case {
+    const char* traffic;
+    const char* splice;  ///< empty: none
+  };
+  const Case cases[] = {{"poisson:0.05", ""},
+                        {"hotspot:0.5:0.5", ""},
+                        {"hotspot:0.5:0.5", "dedup:2"}};
+  for (const Case& c : cases) {
+    std::vector<std::vector<sim::MessageId>> by_threads[2];
+    for (int i = 0; i < 2; ++i) {
+      const std::size_t threads = i == 0 ? 1 : 4;
+      const std::string what = std::string(c.traffic) + " splice '" +
+                               c.splice + "' threads " +
+                               std::to_string(threads);
+      traffic::TrafficSpec tspec;
+      ASSERT_EQ(traffic::parse_traffic_spec(c.traffic, tspec), "");
+      fault::FaultSpec fspec;
+      ASSERT_EQ(fault::parse_fault_spec("poisson:0.1:96", fspec), "");
+      const auto plan = fault::build_fault_plan(fspec);
+      LbSimulation sim(g, std::make_unique<sim::BernoulliScheduler>(0.5),
+                       params, /*master_seed=*/1671);
+      RecvLog log(g.size());
+      sim.set_extra_listener(&log);
+      SetDedup reference(g.size(), params.group_length());
+      sim.add_observer(&reference);
+      sim.add_traffic(traffic::build_source(tspec, g.size(), 1672));
+      sim::EngineConfig config;
+      config.with_round_threads(threads).with_fault_plan(plan.get());
+      if (*c.splice != '\0') {
+        sim::SpliceSpec splice;
+        std::string error;
+        ASSERT_TRUE(sim::parse_splice_spec(c.splice, splice, error)) << error;
+        config.with_splice(splice);
+      }
+      sim.configure(config);
+      sim.run_phases(6);
+
+      EXPECT_GT(sim.ledger().recoveries, 0u) << what;
+      EXPECT_GT(reference.raw, sim.report().recv_count) << what;
+      EXPECT_GT(reference.ignored, 0u) << what << ": no passive window hit";
+      for (graph::Vertex v = 0; v < g.size(); ++v) {
+        ASSERT_EQ(log.recvs[v], reference.expected[v])
+            << what << ": vertex " << v;
+      }
+      by_threads[i] = log.recvs;
+    }
+    EXPECT_EQ(by_threads[0], by_threads[1]) << c.traffic << " " << c.splice;
+  }
+}
+
+/// Drives one LbProcess alone, round by round, as the engine would.
+class LoneProcess {
+ public:
+  explicit LoneProcess(const LbParams& params)
+      : params_(params), log_(1), process_(params, /*id=*/1, 0, &log_),
+        rng_(3) {}
+
+  /// Delivers `m` from origin m.origin in the next body round (stepping
+  /// silent rounds until one comes up).
+  void deliver(const sim::MessageId& m) {
+    while ((round_ % params_.group_length()) < params_.t_s) step(std::nullopt);
+    step(sim::Packet{m.origin, sim::DataPayload{m, 0}});
+  }
+  /// Crashes at the next round, recovers `down` rounds later and idles
+  /// through the passive stretch up to the next group start.
+  void crash_and_recover(sim::Round down) {
+    process_.on_crash(round_ + 1);
+    round_ += down;
+    process_.on_recover(round_ + 1);
+    do {
+      step(std::nullopt);
+    } while (round_ % params_.group_length() != 0);
+  }
+  const std::vector<sim::MessageId>& recvs() const { return log_.recvs[0]; }
+
+ private:
+  void step(const std::optional<sim::Packet>& packet) {
+    sim::RoundContext ctx(++round_, rng_);
+    EXPECT_FALSE(process_.transmit(ctx).has_value() && packet.has_value());
+    process_.receive(packet, ctx);
+    process_.end_round(ctx);
+  }
+
+  LbParams params_;
+  RecvLog log_;
+  LbProcess process_;
+  Rng rng_;
+  sim::Round round_ = 0;  ///< last round stepped
+};
+
+TEST(LbProcess, OlderSeqFromKnownOriginIsDropped) {
+  LoneProcess p(small_params(4, 4));
+  p.deliver({7, 2});
+  p.deliver({7, 1});  // older than the mark
+  p.deliver({7, 2});  // repeat
+  p.deliver({9, 1});  // another origin
+  p.deliver({7, 3});
+  EXPECT_EQ(p.recvs(), (std::vector<sim::MessageId>{{7, 2}, {9, 1}, {7, 3}}));
+}
+
+TEST(LbProcess, HighWaterMarksSurviveCrashAndRecovery) {
+  LoneProcess p(small_params(4, 4));
+  p.deliver({7, 3});
+  p.crash_and_recover(5);
+  p.deliver({7, 3});  // heard before the crash: no second recv
+  p.deliver({7, 2});
+  p.deliver({7, 4});
+  EXPECT_EQ(p.recvs(), (std::vector<sim::MessageId>{{7, 3}, {7, 4}}));
 }
 
 }  // namespace

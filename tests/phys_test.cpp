@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "phys/dual_graph_channel.h"
 #include "phys/extract.h"
 #include "phys/sinr.h"
+#include "sim/adaptive.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
 #include "test_support.h"
@@ -375,6 +377,147 @@ TEST(DualGraphChannel, ExplicitChannelMatchesSchedulerConstructor) {
     digests[mode] = digest.value();
   }
   EXPECT_EQ(digests[0], digests[1]);
+}
+
+/// Marks heard entries the channel must not write (outside frontier words).
+constexpr std::uint64_t kStale = 0xdeadbeefdeadbeefULL;
+
+/// One DualGraphChannel round computed over the consecutive ranges
+/// [cuts[i], cuts[i+1]), the way a sharded round splits it: heard is
+/// zeroed over the frontier words only, everything else holds kStale.
+std::vector<std::uint64_t> split_round(DualGraphChannel& channel,
+                                       const graph::DualGraph& g,
+                                       sim::Round round,
+                                       const Bitmap& transmitting,
+                                       const std::vector<graph::Vertex>& cuts) {
+  Bitmap frontier(g.size());
+  channel.fill_frontier(transmitting, frontier);
+  channel.prepare_round(round, transmitting);
+  std::vector<std::uint64_t> heard(g.size(), kStale);
+  for (std::size_t w = 0; w < frontier.word_count(); ++w) {
+    if (frontier.words()[w] == 0) continue;
+    for (std::size_t u = w * 64; u < std::min(g.size(), w * 64 + 64); ++u) {
+      heard[u] = 0;
+    }
+  }
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    channel.compute(round, transmitting, heard, frontier, cuts[i],
+                    cuts[i + 1]);
+  }
+  std::size_t written_outside = 0;
+  for (std::size_t u = 0; u < g.size(); ++u) {
+    if (frontier.words()[u / 64] == 0 && heard[u] != kStale) {
+      ++written_outside;
+    }
+  }
+  EXPECT_EQ(written_outside, 0u) << "compute wrote outside frontier words";
+  return heard;
+}
+
+/// The Section 2 rule read straight off each vertex's own adjacency:
+/// count of transmitting round-neighbors, sender = the largest of them.
+std::vector<std::uint64_t> gather_reference(
+    const graph::DualGraph& g, const Bitmap& transmitting,
+    const std::function<bool(graph::UnreliableEdgeId)>& edge_active) {
+  std::vector<std::uint64_t> heard(g.size(), 0);
+  for (graph::Vertex u = 0; u < g.size(); ++u) {
+    std::uint64_t count = 0;
+    graph::Vertex from = 0;
+    const auto hit = [&](graph::Vertex v) {
+      ++count;
+      from = std::max(from, v);
+    };
+    for (graph::Vertex v : g.g_neighbors(u)) {
+      if (transmitting.test(v)) hit(v);
+    }
+    for (const auto& [edge, v] : g.unreliable_incident(u)) {
+      if (transmitting.test(v) && edge_active(edge)) hit(v);
+    }
+    if (count != 0) heard[u] = heard_word(from, count);
+  }
+  return heard;
+}
+
+/// Random 64-aligned cut points 0 = c_0 < ... < c_k = n.
+std::vector<graph::Vertex> random_cuts(std::size_t n, Rng& rng) {
+  std::vector<graph::Vertex> cuts{0};
+  for (std::size_t b = 64; b < n; b += 64) {
+    if (rng.chance(0.4)) cuts.push_back(static_cast<graph::Vertex>(b));
+  }
+  cuts.push_back(static_cast<graph::Vertex>(n));
+  return cuts;
+}
+
+TEST(DualGraphChannel, PartialRangeComputeMatchesWholeRange) {
+  // The channel's per-round scatter, handed over by compute() in random
+  // 64-aligned splits, against the whole-range call and a per-receiver
+  // gather, round after round (a split that leaves a staged word behind
+  // corrupts the next round), for each way prepare_round() can stage the
+  // unreliable edges: the bulk bitmap fill (dense transmitters), per-edge
+  // scheduler probes (few transmitters) and an adaptive adversary's plan.
+  // n = 500 leaves a partial last word, and random_geometric's vertex ids
+  // are not spatially ordered, so neighborhoods straddle many ranges.
+  Rng graph_rng(404);
+  graph::GeometricSpec spec;
+  spec.n = 500;
+  spec.side = 12.0;
+  const auto g = graph::random_geometric(spec, graph_rng);
+  ASSERT_GT(g.unreliable_edge_count(), 0u);
+  const auto n = static_cast<graph::Vertex>(g.size());
+  const std::vector<graph::Vertex> whole{0, n};
+
+  enum class Staging { kBitmapFill, kPerEdgeProbe, kAdaptive };
+  for (Staging staging :
+       {Staging::kBitmapFill, Staging::kPerEdgeProbe, Staging::kAdaptive}) {
+    sim::BernoulliScheduler sched(0.5);
+    sim::TargetedJammer jammer(/*target=*/7);
+    DualGraphChannel channel(sched);
+    channel.bind(g, /*master_seed=*/55);
+    if (staging == Staging::kAdaptive) channel.set_adaptive_adversary(&jammer);
+    Rng rng(static_cast<std::uint64_t>(staging) + 1);
+    for (sim::Round round = 1; round <= 24; ++round) {
+      Bitmap transmitting(g.size());
+      std::size_t probes = 0;
+      if (staging == Staging::kPerEdgeProbe) {
+        // One to three transmitters: few enough that some frontier words
+        // stay empty, which compute() must not write.
+        const auto k = 1 + static_cast<int>(round % 3);
+        for (int i = 0; i < k; ++i) transmitting.set(rng.below(n));
+      } else {
+        for (graph::Vertex v = 0; v < n; ++v) {
+          if (rng.chance(0.3)) transmitting.set(v);
+        }
+      }
+      transmitting.for_each_set([&](std::size_t v) {
+        probes += g.unreliable_incident(static_cast<graph::Vertex>(v)).size();
+      });
+      // prepare_round()'s strategy rule, restated: bitmap fill once the
+      // probes reach half the edge count.
+      if (staging == Staging::kPerEdgeProbe) {
+        ASSERT_GT(probes, 0u);
+        ASSERT_LT(probes * 2, g.unreliable_edge_count());
+      } else if (staging == Staging::kBitmapFill) {
+        ASSERT_GE(probes * 2, g.unreliable_edge_count());
+      }
+
+      const auto full = split_round(channel, g, round, transmitting, whole);
+      const auto split = split_round(channel, g, round, transmitting,
+                                     random_cuts(g.size(), rng));
+      const auto want = gather_reference(
+          g, transmitting, [&](graph::UnreliableEdgeId e) {
+            return staging == Staging::kAdaptive ? jammer.active(e)
+                                                 : sched.active(e, round);
+          });
+      for (graph::Vertex u = 0; u < n; ++u) {
+        ASSERT_EQ(split[u], full[u]) << "round " << round << " u " << u;
+        if (full[u] != kStale) {
+          ASSERT_EQ(full[u], want[u]) << "round " << round << " u " << u;
+        } else {
+          ASSERT_EQ(want[u], 0u) << "hearer outside the frontier, u " << u;
+        }
+      }
+    }
+  }
 }
 
 TEST(Engine, ReportsChannelName) {

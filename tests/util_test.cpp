@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -136,6 +137,63 @@ TEST(SeedBits, SeekRealigns) {
   a.seek(5);
   b.seek(5);
   EXPECT_EQ(a.take(20), b.take(20));
+}
+
+/// The next k bits from `cursor`, first bit most significant, read one
+/// bit_at() at a time: the reference for the word-wise take().
+std::uint64_t bits_from(const SeedBits& s, std::uint64_t cursor, int k) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < k; ++i) {
+    v = (v << 1) | static_cast<std::uint64_t>(s.bit_at(cursor + i));
+  }
+  return v;
+}
+
+TEST(SeedBits, WordWiseTakesMatchBitAtForEveryWidthAndCursor) {
+  // Cursors 0-191 cover three words, every in-word offset and every
+  // straddle; each probe seeks back to its cursor, so the cached word is
+  // alternately the one before, the one at and the one after it.
+  SeedBits s(0xfeedfacecafebeefULL);
+  for (std::uint64_t cursor = 0; cursor < 192; ++cursor) {
+    for (int k = 0; k <= 64; ++k) {
+      const std::uint64_t want = bits_from(s, cursor, k);
+      s.seek(cursor);
+      ASSERT_EQ(s.take(k), want) << "cursor " << cursor << " k " << k;
+      EXPECT_EQ(s.cursor(), cursor + static_cast<std::uint64_t>(k));
+      s.seek(cursor);
+      ASSERT_EQ(s.take_all_zero(k), want == 0)
+          << "cursor " << cursor << " k " << k;
+      EXPECT_EQ(s.cursor(), cursor + static_cast<std::uint64_t>(k));
+    }
+  }
+}
+
+TEST(SeedBits, CachedWordSurvivesBackwardSeekAndCopy) {
+  // A random walk of takes, all-zero tests and backward seeks, with a copy
+  // forked off mid-walk that then runs its own walk: every value must match
+  // the bit_at() reference at the walker's own cursor.
+  const SeedBits ref(2718281828ULL);
+  SeedBits a(ref.seed_value());
+  std::optional<SeedBits> b;
+  Rng rng(99);
+  for (int step = 0; step < 4000; ++step) {
+    if (step == 2000) b = a;  // shares a's cursor and cached word
+    SeedBits& s = (b.has_value() && step % 2 == 1) ? *b : a;
+    const std::uint64_t cursor = s.cursor();
+    const auto k = static_cast<int>(rng.below(65));
+    switch (rng.below(3)) {
+      case 0:
+        ASSERT_EQ(s.take(k), bits_from(ref, cursor, k)) << "step " << step;
+        break;
+      case 1:
+        ASSERT_EQ(s.take_all_zero(k), bits_from(ref, cursor, k) == 0)
+            << "step " << step;
+        break;
+      default:
+        s.seek(rng.below(cursor + 1));  // backward (or stay)
+        break;
+    }
+  }
 }
 
 TEST(SeedBits, TakeZeroBitsIsZero) {
