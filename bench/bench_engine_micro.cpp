@@ -54,10 +54,11 @@ BENCHMARK(BM_EngineRound)
 // frontier words touched per round -- the quantity the round's cost
 // scales with.  phases_per_seed amortizes the all-nodes SeedAlg preambles
 // so steady-state body rounds dominate the series, as they do in long
-// campaigns.  The thread cap comes from DG_ROUND_THREADS.
+// campaigns.  Third arg: round_threads, as in BM_EngineRound.
 void BM_EngineRoundSparse(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int load = static_cast<int>(state.range(1));  // 0=dense,1=1%,2=0.1%
+  const auto round_threads = static_cast<std::size_t>(state.range(2));
   const auto side = static_cast<std::size_t>(std::sqrt(static_cast<double>(n)));
   const auto g = graph::grid(side, side, 1.0, 1.5);
   lb::LbScales scales;
@@ -68,7 +69,9 @@ void BM_EngineRoundSparse(benchmark::State& state) {
   lb::LbSimulation sim(g, std::make_unique<sim::BernoulliScheduler>(0.5),
                        params, 99);
   obs::Registry registry;
-  sim.configure(sim::EngineConfig{}.with_telemetry(&registry));
+  sim.configure(sim::EngineConfig{}
+                    .with_round_threads(round_threads)
+                    .with_telemetry(&registry));
   if (load == 0) {
     std::vector<graph::Vertex> all(g.size());
     std::iota(all.begin(), all.end(), 0);
@@ -108,7 +111,7 @@ void BM_EngineRoundSparse(benchmark::State& state) {
                           static_cast<std::int64_t>(g.size()));
 }
 BENCHMARK(BM_EngineRoundSparse)
-    ->ArgsProduct({{4096, 65536}, {0, 1, 2}})
+    ->ArgsProduct({{4096, 65536}, {0, 1, 2}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerActive(benchmark::State& state) {

@@ -48,6 +48,11 @@ void PhaseProfiler::phase_end(std::size_t slot) {
   current_[slot] += static_cast<std::uint64_t>(ns);
 }
 
+void PhaseProfiler::add_phase_ns(std::size_t slot, std::uint64_t ns) {
+  DG_ASSERT(slot < current_.size());
+  current_[slot] += ns;
+}
+
 void PhaseProfiler::add_parallel_ns(std::uint64_t ns) {
   current_parallel_ns_ += ns;
 }

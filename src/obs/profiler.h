@@ -3,7 +3,9 @@
 // The engine owns one profiler per installed telemetry registry and
 // registers one timing slot per pipeline stage (register_stage), in
 // pipeline order, so spliced stages get per-stage timers automatically;
-// run_pipeline brackets each stage with ScopedPhase guards on its slot.
+// run_pipeline brackets each serial stage with ScopedPhase guards on its
+// slot, and splits a fused block pass between its stages' slots by their
+// measured shares (add_phase_ns).
 // end_round() folds the measured nanoseconds into TIMING-domain registry
 // counters/histograms and emits one round slice (with nested stage
 // slices) into the trace sink.  Everything here is wall clock, so nothing
@@ -41,6 +43,9 @@ class PhaseProfiler {
   void begin_round(std::int64_t round);
   void phase_begin(std::size_t slot);
   void phase_end(std::size_t slot);
+  /// Adds `ns` to the slot's current round without a bracket: a stage's
+  /// share of a block pass it ran in together with other stages.
+  void add_phase_ns(std::size_t slot, std::uint64_t ns);
   /// Nanoseconds spent inside thread-pool dispatches this round (the
   /// utilization numerator; the round total is the denominator).
   void add_parallel_ns(std::uint64_t ns);

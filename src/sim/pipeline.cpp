@@ -10,6 +10,7 @@ void RoundPipeline::append(RoundStage* stage, bool round_begin_before) {
   slot.stage = stage;
   slot.round_begin_before = round_begin_before;
   slots_.push_back(slot);
+  regroup();
 }
 
 std::size_t RoundPipeline::find(const std::string& name) const {
@@ -33,6 +34,21 @@ void RoundPipeline::insert_after(const std::string& anchor,
   slot.spliced = true;
   slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(i) + 1, slot);
   owned_.push_back(std::move(stage));
+  regroup();
+}
+
+void RoundPipeline::regroup() {
+  groups_.clear();
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
+    const bool disjoint = slot.stage->vertex_disjoint_writes();
+    if (disjoint && !slot.round_begin_before && !groups_.empty() &&
+        groups_.back().disjoint) {
+      groups_.back().last = i + 1;
+    } else {
+      groups_.push_back(Group{i, i + 1, disjoint});
+    }
+  }
 }
 
 }  // namespace dg::sim

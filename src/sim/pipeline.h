@@ -8,6 +8,12 @@
 // whether the on_round_begin observer fan-out fires before it -- the seam
 // that keeps the fault stage *before* round-begin observers, exactly where
 // apply_faults() ran in the monolithic loop.
+//
+// The slots are also partitioned into groups, rebuilt whenever a stage is
+// appended or spliced (never per round): each maximal run of consecutive
+// stages that declare vertex_disjoint_writes() is one group, which the
+// driver runs as one block pass, and every other stage is a group of its
+// own.  A slot carrying the round-begin seam always starts a group.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +42,14 @@ class RoundPipeline {
     bool spliced = false;
   };
 
+  /// Slots [first, last); `disjoint` iff every stage in it declares
+  /// vertex_disjoint_writes() (a serial group holds exactly one slot).
+  struct Group {
+    std::size_t first = 0;
+    std::size_t last = 0;
+    bool disjoint = false;
+  };
+
   /// Appends a core stage (caller-owned, must outlive the pipeline).
   void append(RoundStage* stage, bool round_begin_before = false);
 
@@ -52,8 +66,13 @@ class RoundPipeline {
   const std::vector<Slot>& slots() const noexcept { return slots_; }
   std::size_t size() const noexcept { return slots_.size(); }
 
+  const std::vector<Group>& groups() const noexcept { return groups_; }
+
  private:
+  void regroup();
+
   std::vector<Slot> slots_;
+  std::vector<Group> groups_;
   std::vector<std::unique_ptr<RoundStage>> owned_;
 };
 

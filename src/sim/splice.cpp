@@ -45,12 +45,15 @@ std::uint64_t packet_key(const Packet& p) {
 
 /// The observably-free seam probe: a stage that declares nothing and does
 /// nothing, so a spliced run must stay byte-identical to an unspliced one
-/// (CI's campaign gate diffs exactly that).
+/// (CI's campaign gate diffs exactly that).  Writing nothing is trivially
+/// vertex-disjoint, so it joins its anchor's block pass instead of
+/// splitting it.
 class NoopStage final : public RoundStage {
  public:
   std::string name() const override { return "noop"; }
   SlabSet reads() const override { return 0; }
   SlabSet writes() const override { return 0; }
+  bool vertex_disjoint_writes() const override { return true; }
   void run_block(RoundState&, graph::Vertex, graph::Vertex) override {}
 };
 

@@ -1,18 +1,33 @@
 // Persistent worker pool for deterministic block-parallel loops.
 //
-// The sharded round engine runs each phase of a round as a loop over
-// disjoint vertex blocks.  Blocks are claimed dynamically (atomic counter),
-// so the *assignment* of blocks to threads is racy -- determinism comes from
-// the blocks writing disjoint state, never from execution order.  Workers
-// are spawned lazily on the first parallel loop and persist across rounds;
-// a Monte Carlo run pays thread creation once, not once per round.
+// The sharded round engine runs each group of vertex-disjoint stages of a
+// round as one loop over disjoint vertex blocks.  Blocks are claimed
+// dynamically (atomic counter), so the *assignment* of blocks to threads is
+// racy -- determinism comes from the blocks writing disjoint state, never
+// from execution order.  Workers are spawned lazily on the first parallel
+// loop and persist across rounds; a Monte Carlo run pays thread creation
+// once, not once per round.
+//
+// Hand-off: one 32-bit state word holds a generation counter (bumped per
+// job), a closed flag and the number of workers inside the current job.
+// A worker joins a job by incrementing that count while the job is open,
+// runs blocks, and leaves by decrementing it; the caller drains blocks
+// too, then closes the job and waits only for the workers inside.  A
+// worker that wakes late finds the job closed and goes back to waiting,
+// so a descheduled worker never holds up a job it did not join.  Waiting
+// threads spin for a bounded time (kSpin of wall clock, not a pause
+// count) and then park (std::atomic::wait), so rounds posted back to back
+// hand off without a syscall while an idle pool costs no CPU.  Spinning
+// is skipped altogether while the process's live pool threads (callers
+// included) outnumber the hardware threads -- e.g. concurrent trials that
+// each shard their rounds -- since a spinner then only steals the core the
+// thread it waits for needs.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -21,6 +36,9 @@ namespace dg::util {
 
 class ThreadPool {
  public:
+  /// How long a waiting thread spins before it parks.
+  static constexpr std::chrono::nanoseconds kSpin{20'000};
+
   /// `threads` counts the caller: a pool of k runs loops on the calling
   /// thread plus k-1 lazily created workers.  threads <= 1 never spawns.
   explicit ThreadPool(std::size_t threads);
@@ -30,6 +48,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t threads() const noexcept { return threads_; }
+
+  /// std::thread::hardware_concurrency(), at least 1, read once.
+  static std::size_t hardware_threads();
 
   /// Runs fn(block) for every block in [0, blocks) across the caller and
   /// the workers, returning only after every block completed.  fn must
@@ -46,7 +67,7 @@ class ThreadPool {
         [](void* obj, std::size_t block) {
           (*static_cast<std::remove_reference_t<Fn>*>(obj))(block);
         },
-        &fn);
+        const_cast<void*>(static_cast<const void*>(&fn)));
   }
 
  private:
@@ -55,25 +76,28 @@ class ThreadPool {
   void run_blocks(std::size_t blocks, BlockFn fn, void* obj);
   void drain();
   void worker_loop();
+  void leave();
   void ensure_workers();
 
   std::size_t threads_;
   std::vector<std::thread> workers_;
 
-  std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< wakes workers on a new generation
-  std::condition_variable done_cv_;  ///< job finished / worker parked
-  std::uint64_t generation_ = 0;     ///< bumped per job, under mutex_
-  std::size_t idle_ = 0;             ///< workers parked in wait, under mutex_
-  bool stop_ = false;
+  // state_ layout: generation << 16 | kClosed | workers inside the job.
+  static constexpr std::uint32_t kGeneration = 1U << 16;
+  static constexpr std::uint32_t kClosed = 1U << 15;
+  static constexpr std::uint32_t kInside = kClosed - 1;
+  std::atomic<std::uint32_t> state_{kClosed};
+  /// Bumped by the last worker to leave a closed job; the caller parks on
+  /// it.
+  std::atomic<std::uint32_t> done_{0};
+  std::atomic<bool> stop_{false};
 
-  // Current job; written under mutex_ while every worker is parked, read by
-  // workers after they observe the new generation under the same mutex.
+  // Current job: written by the caller while the previous job is closed
+  // and empty, published to joining workers by the generation bump.
   BlockFn fn_ = nullptr;
   void* obj_ = nullptr;
   std::size_t blocks_ = 0;
-  std::atomic<std::size_t> next_{0};       ///< next unclaimed block
-  std::atomic<std::size_t> remaining_{0};  ///< blocks not yet completed
+  std::atomic<std::size_t> next_{0};  ///< next unclaimed block
 };
 
 }  // namespace dg::util

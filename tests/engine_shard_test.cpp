@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "engine_test_peer.h"
 #include "fault/spec.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
@@ -140,6 +141,7 @@ RunResult run_once(const graph::DualGraph& g,
   Engine engine(g, *sched, shard_coins(g.size(), master_seed ^ 0x5eedULL),
                 master_seed);
   engine.configure(EngineConfig{}.with_round_threads(round_threads));
+  EngineTestPeer::always_shard(engine);
   StreamObserver stream;
   engine.add_observer(&stream);
   engine.run_rounds(rounds);
@@ -222,6 +224,7 @@ TEST(EngineShardDifferential, SinrChannel) {
     Engine engine(g, channel, shard_coins(g.size(), master ^ 0x5eedULL),
                   master);
     engine.configure(EngineConfig{}.with_round_threads(threads));
+    EngineTestPeer::always_shard(engine);
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(rounds);
@@ -265,6 +268,7 @@ TEST(EngineShardDifferential, LbStackWithTrafficLedger) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2027);
     sim.configure(EngineConfig{}.with_round_threads(threads));
+    EngineTestPeer::always_shard(sim.engine());
     StreamObserver stream;
     sim.add_observer(&stream);
     sim.traffic().set_queue_capacity(4);
@@ -308,6 +312,7 @@ TEST(EngineShardDifferential, LbStackUnderFaultPlan) {
     lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
                          /*master_seed=*/2028);
     sim.configure(EngineConfig{}.with_round_threads(threads));
+    EngineTestPeer::always_shard(sim.engine());
     StreamObserver stream;
     sim.add_observer(&stream);
     sim.add_traffic(traffic::build_source(tspec, g.size(),
@@ -361,6 +366,7 @@ TEST(EngineShardDifferential, LogicalMetricsByteIdentical) {
     obs::Registry registry;
     engine.configure(
         EngineConfig{}.with_round_threads(threads).with_telemetry(&registry));
+    EngineTestPeer::always_shard(engine);
     engine.run_rounds(48);
     return registry.json(/*include_timing=*/false);
   };
@@ -398,6 +404,7 @@ TEST(EngineShardDifferential, LogicalMetricsByteIdenticalUnderFaultPlan) {
                       .with_round_threads(threads)
                       .with_fault_plan(plan.get())
                       .with_telemetry(&registry));
+    EngineTestPeer::always_shard(sim.engine());
     sim.run_phases(3);
     sim.export_telemetry();
     return registry.json(/*include_timing=*/false);
@@ -535,6 +542,7 @@ Golden coin_golden_run(const graph::DualGraph& g,
   Engine engine(g, *sched, shard_coins(g.size(), master_seed ^ 0x5eedULL),
                 master_seed);
   engine.configure(golden_config(threads));
+  EngineTestPeer::always_shard(engine);
   StreamObserver stream;
   engine.add_observer(&stream);
   engine.run_rounds(rounds);
@@ -593,6 +601,7 @@ TEST(EngineDenseGolden, SinrChannel) {
     phys::SinrChannel channel(params);
     Engine engine(g, channel, shard_coins(g.size(), 0xB0B ^ 0x5eedULL), 0xB0B);
     engine.configure(golden_config(threads));
+    EngineTestPeer::always_shard(engine);
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(32);
@@ -673,6 +682,7 @@ TEST(EngineDenseGolden, LbStackMatrix) {
                                params, /*master_seed=*/2030);
           obs::Registry registry;
           sim.configure(golden_config(threads).with_telemetry(&registry));
+          EngineTestPeer::always_shard(sim.engine());
           StreamObserver stream(kLbStreamInterest);
           sim.add_observer(&stream);
           sim.add_traffic(traffic::build_source(
@@ -715,6 +725,7 @@ TEST(EngineDenseGolden, LogicalMetrics) {
     Engine engine(g, sched, shard_coins(g.size(), 0xAB5eedULL), 0xAB);
     obs::Registry registry;
     engine.configure(golden_config(threads).with_telemetry(&registry));
+    EngineTestPeer::always_shard(engine);
     engine.run_rounds(48);
     expect_golden({0, 0x0ULL, 0x942b380c2724e682ULL},
                   {0, 0, digest_text(kFnvBasis, registry.json(false))},
@@ -746,6 +757,7 @@ TEST(EngineDenseGolden, MidRunDedupInstall) {
                          /*master_seed=*/2031);
     obs::Registry registry;
     sim.configure(golden_config(threads).with_telemetry(&registry));
+    EngineTestPeer::always_shard(sim.engine());
     StreamObserver stream(kLbStreamInterest);
     sim.add_observer(&stream);
     sim.add_traffic(traffic::build_source(tspec, g.size(),
@@ -833,6 +845,7 @@ TEST(EngineDenseGolden, DedupMaskedDeliveryToParkedVertex) {
     engine.configure(golden_config(threads)
                          .with_telemetry(&registry)
                          .with_splice(splice("dedup:4")));
+    EngineTestPeer::always_shard(engine);
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(40);
@@ -877,6 +890,7 @@ TEST(EngineShardProperty, NonConsentingProcessForcesSerial) {
     BernoulliScheduler sched(0.5);
     Engine engine(g, sched, std::move(procs), 99);
     engine.configure(EngineConfig{}.with_round_threads(threads));
+    EngineTestPeer::always_shard(engine);
     StreamObserver stream;
     engine.add_observer(&stream);
     engine.run_rounds(24);
@@ -885,6 +899,204 @@ TEST(EngineShardProperty, NonConsentingProcessForcesSerial) {
   const auto serial = run(1);
   const auto capped = run(8);
   ASSERT_EQ(serial, capped);
+}
+
+// ---- fused block passes: callback order, job counts, attribution ----
+
+/// One log of an LB run's whole serial callback stream: the observer
+/// events, the RoundHooks checkpoints (recorded, then passed on to the
+/// simulation's own hooks) and the recv/ack outputs those hooks forward.
+class CallbackLog final : public Observer,
+                          public RoundHooks,
+                          public lb::LbListener {
+ public:
+  explicit CallbackLog(RoundHooks* inner) : inner_(inner) {}
+
+  const std::vector<std::string>& events() const noexcept { return events_; }
+
+  unsigned interest() const override {
+    return kTransmit | kReceive | kSilence | kRoundEnd;
+  }
+  void on_transmit(Round round, graph::Vertex v, const Packet& p) override {
+    push("tx", round, v, p.sender);
+  }
+  void on_receive(Round round, graph::Vertex u, graph::Vertex from,
+                  const Packet&) override {
+    push("rx", round, u, from);
+  }
+  void on_silence(Round round, graph::Vertex u, bool collision) override {
+    push("sil", round, u, collision ? 1 : 0);
+  }
+  void on_round_end(Round round) override { push("end", round, 0, 0); }
+
+  void after_receive_phase(Round round) override {
+    push("after_receive", round, 0, 0);
+    inner_->after_receive_phase(round);
+  }
+  void after_output_phase(Round round) override {
+    push("after_output", round, 0, 0);
+    inner_->after_output_phase(round);
+  }
+
+  void on_recv(graph::Vertex vertex, const MessageId& m,
+               std::uint64_t content, Round round) override {
+    push("recv", round, vertex, m.origin ^ (m.seq * 3U) ^ (content * 5U));
+  }
+  void on_ack(graph::Vertex vertex, const MessageId& m,
+              Round round) override {
+    push("ack", round, vertex, m.origin ^ (m.seq * 3U));
+  }
+
+ private:
+  void push(const char* what, Round round, std::uint64_t a, std::uint64_t b) {
+    events_.push_back(std::string(what) + ' ' + std::to_string(round) + ' ' +
+                      std::to_string(a) + ' ' + std::to_string(b));
+  }
+
+  RoundHooks* inner_;
+  std::vector<std::string> events_;
+};
+
+/// The LB stack with traffic and a fault plan, optionally spliced, logged
+/// through CallbackLog at the given thread cap.
+std::vector<std::string> lb_callback_stream(
+    std::size_t threads, const std::vector<std::string>& splices) {
+  const auto g = graph::grid(10, 10, 1.0, 1.5);
+  lb::LbScales scales;
+  scales.ack_scale = 0.001;  // one sending phase: acks inside the run
+  const auto params =
+      lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
+  traffic::TrafficSpec tspec;
+  EXPECT_EQ(traffic::parse_traffic_spec("poisson:0.05", tspec), "");
+  fault::FaultSpec fspec;
+  EXPECT_EQ(fault::parse_fault_spec("poisson:0.1:96", fspec), "");
+
+  lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
+                       /*master_seed=*/2032);
+  EngineConfig config = EngineConfig{}.with_round_threads(threads);
+  for (const std::string& text : splices) config.with_splice(splice(text));
+  const auto plan = fault::build_fault_plan(fspec);
+  config.with_fault_plan(plan.get());
+  sim.configure(config);
+  EngineTestPeer::always_shard(sim.engine());
+  CallbackLog log(EngineTestPeer::round_hooks(sim.engine()));
+  sim.engine().set_round_hooks(&log);
+  sim.add_observer(&log);
+  sim.set_extra_listener(&log);
+  sim.add_traffic(
+      traffic::build_source(tspec, g.size(), derive_seed(2032, 0x7fcULL)));
+  sim.run_phases(3);
+  return log.events();
+}
+
+TEST(EngineFusion, CallbackStreamIdenticalAtEveryThreadCount) {
+  // transmit is one block pass and compute + receive + output_flush (plus
+  // any vertex-disjoint splice) another, so both RoundHooks checkpoints
+  // fire after the round's last end_round.  The complete serial stream --
+  // observer events, checkpoints, the recv-then-ack outputs they forward
+  // -- must not depend on the thread count, with or without a
+  // vertex-disjoint (dedup) or a serial (tap) splice in the pass.
+  const std::vector<std::vector<std::string>> splice_sets = {
+      {}, {"dedup:2"}, {"tap:heard_words"}, {"dedup:2", "tap:heard_words"}};
+  for (const auto& splices : splice_sets) {
+    const std::vector<std::string> serial = lb_callback_stream(1, splices);
+    std::size_t recvs = 0, acks = 0;
+    for (const std::string& e : serial) {
+      recvs += e.rfind("recv ", 0) == 0;
+      acks += e.rfind("ack ", 0) == 0;
+    }
+    EXPECT_GT(recvs, 0u) << "no recv outputs; weak fixture";
+    EXPECT_GT(acks, 0u) << "no ack outputs; weak fixture";
+    for (std::size_t threads : {2u, 4u, 8u}) {
+      const std::vector<std::string> sharded =
+          lb_callback_stream(threads, splices);
+      ASSERT_EQ(serial.size(), sharded.size())
+          << threads << " threads, " << splices.size() << " splices";
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_EQ(serial[i], sharded[i])
+            << threads << " threads, " << splices.size() << " splices, event "
+            << i;
+      }
+    }
+  }
+}
+
+/// Sharded rounds and pool jobs of a 24-round coin run at 4 threads.
+std::pair<std::uint64_t, std::uint64_t> sharded_rounds_and_jobs(
+    const std::vector<std::string>& splices) {
+  const auto g = graph::grid(16, 16, 1.0, 1.5);
+  BernoulliScheduler sched(0.5);
+  Engine engine(g, sched, shard_coins(g.size(), 0x10B5ULL), 0x10B);
+  obs::Registry registry;
+  EngineConfig config =
+      EngineConfig{}.with_round_threads(4).with_telemetry(&registry);
+  for (const std::string& text : splices) config.with_splice(splice(text));
+  engine.configure(config);
+  EngineTestPeer::always_shard(engine);
+  engine.run_rounds(24);
+  return {registry.counter("engine.dispatch.sharded", obs::Domain::kTiming),
+          registry.counter("engine.dispatch.pool_jobs", obs::Domain::kTiming)};
+}
+
+TEST(EngineFusion, PoolJobsPerShardedRound) {
+  // transmit, then compute + receive + output_flush: two jobs.  A dedup
+  // (vertex-disjoint) or noop splice joins the second pass; a serial tap
+  // anchored after compute splits it in two.
+  const struct {
+    std::vector<std::string> splices;
+    std::uint64_t jobs_per_round;
+  } cases[] = {{{}, 2}, {{"dedup:2"}, 2}, {{"noop"}, 2},
+               {{"tap:heard_words"}, 3}};
+  for (const auto& c : cases) {
+    const auto [sharded, jobs] = sharded_rounds_and_jobs(c.splices);
+    EXPECT_EQ(sharded, 24u);
+    EXPECT_EQ(jobs, c.jobs_per_round * sharded)
+        << (c.splices.empty() ? "no splice" : c.splices.front());
+  }
+}
+
+TEST(EngineFusion, FusedStagesKeepTheirOwnProfilerRows) {
+  // A traced grid_sparse-shaped run (grid, ~1% of the nodes sending, 4
+  // threads): each stage of the fused pass keeps a non-zero row of its
+  // own, and the stage rows add up to the round time within 5%.
+  const auto g = graph::grid(64, 64, 1.0, 1.5);
+  lb::LbScales scales;
+  scales.ack_scale = 0.01;
+  const auto params =
+      lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
+  lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.5), params,
+                       /*master_seed=*/2033);
+  obs::Registry registry;
+  sim.configure(
+      EngineConfig{}.with_round_threads(4).with_telemetry(&registry));
+  EngineTestPeer::always_shard(sim.engine());
+  traffic::TrafficSpec tspec;
+  tspec.kind = traffic::TrafficSpec::Kind::kPoisson;
+  tspec.rate = 0.01 * static_cast<double>(g.size()) /
+               static_cast<double>(params.t_ack_bound());
+  sim.add_traffic(
+      traffic::build_source(tspec, g.size(), derive_seed(2033, 0x7fcULL)));
+  sim.run_rounds(params.t_s + 200);
+
+  const auto ns = [&](const std::string& name) {
+    return registry.counter(name, obs::Domain::kTiming);
+  };
+  EXPECT_GT(ns("engine.dispatch.sharded"), 0u);
+  // compute only hands over heard words, while receive and output_flush
+  // step processes: a pass whose time all landed on its first stage
+  // would invert this order.
+  const std::uint64_t compute = ns("engine.phase.compute.ns");
+  EXPECT_GT(compute, 0u);
+  EXPECT_GT(ns("engine.phase.receive.ns"), compute);
+  EXPECT_GT(ns("engine.phase.output_flush.ns"), compute);
+  std::uint64_t stages = 0;
+  for (const char* stage : {"fault", "transmit", "frontier", "prepare_round",
+                            "compute", "receive", "output_flush"}) {
+    stages += ns(std::string("engine.phase.") + stage + ".ns");
+  }
+  const auto round = static_cast<double>(ns("engine.round.ns"));
+  EXPECT_NEAR(static_cast<double>(stages) / round, 1.0, 0.05)
+      << "stage rows " << stages << " ns, engine.round " << round << " ns";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "engine_test_peer.h"
 #include "graph/generators.h"
 #include "obs/registry.h"
 #include "scn/scenario.h"
@@ -353,6 +354,7 @@ SplicedRun run_spliced(const graph::DualGraph& g, std::size_t round_threads,
   config.with_round_threads(round_threads).with_telemetry(&registry);
   for (const std::string& text : stages) config.with_splice(parse_ok(text));
   engine.configure(config);
+  EngineTestPeer::always_shard(engine);
 
   StreamObserver stream;
   engine.add_observer(&stream);

@@ -10,7 +10,13 @@ converts its native report into the standard shape (one row per benchmark,
 with a rounds/sec column derived from real_time), and keeps the console
 output as the .txt mirror.
 
+The BM_EngineRound and BM_EngineRoundSparse rows carry a round_threads
+column (1, 2, 4, 8), so one run yields the whole thread-scaling table;
+`--markdown REPORT.json` prints that table from a saved report, in the
+shape README.md quotes.
+
 Usage: engine_micro_report.py BINARY OUT_JSON OUT_TXT [extra gbench args...]
+       engine_micro_report.py --markdown REPORT.json
 """
 import json
 import subprocess
@@ -20,7 +26,66 @@ import time
 import os
 
 
+def fmt_time(ns: float) -> str:
+    """Per-round time in the unit README's tables use."""
+    if ns >= 1e5:
+        return f"{ns / 1e6:.3g} ms"
+    return f"{ns / 1e3:.3g} µs"
+
+
+def markdown(report_path: str) -> int:
+    """Prints the thread-scaling tables of a saved report."""
+    with open(report_path) as f:
+        report = json.load(f)
+    rows = report["sections"][0]["tables"][0]["rows"]
+    threads = sorted({r["round_threads"] for r in rows
+                      if r.get("round_threads") is not None})
+    series = {}
+    for r in rows:
+        if r.get("round_threads") is None or r.get("time_ns") is None:
+            continue
+        name = r["benchmark"].split("/")[0]
+        key = (name, r["n"], r.get("load"))
+        series.setdefault(key, {})[r["round_threads"]] = r
+
+    print(f"git_sha {report.get('git_sha')}, hardware_concurrency "
+          f"{report.get('hardware_concurrency')}")
+    for name in ("BM_EngineRound", "BM_EngineRoundSparse"):
+        keys = [k for k in series if k[0] == name]
+        if not keys:
+            continue
+        sparse = name == "BM_EngineRoundSparse"
+        head = ["n"] + (["load"] if sparse else []) + \
+            [f"{t} thread{'s' if t > 1 else ''}" for t in threads]
+        if sparse:
+            head.append("active_fraction")
+        print()
+        print(f"{name}:")
+        print("| " + " | ".join(head) + " |")
+        print("|" + "---|" * len(head))
+        order = {"dense": 0, "1%": 1, "0.1%": 2}
+        for key in sorted(keys, key=lambda k: (k[1], order.get(k[2], 9))):
+            cells = series[key]
+            one = cells.get(1, {}).get("time_ns")
+            line = [str(key[1])] + ([key[2]] if sparse else [])
+            for t in threads:
+                ns = cells.get(t, {}).get("time_ns")
+                if ns is None:
+                    line.append("—")
+                elif t == 1 or not one:
+                    line.append(fmt_time(ns))
+                else:
+                    line.append(f"{fmt_time(ns)} ({one / ns:.2f}×)")
+            if sparse:
+                frac = cells.get(1, {}).get("active_fraction")
+                line.append("—" if frac is None else f"{frac:.2f}")
+            print("| " + " | ".join(line) + " |")
+    return 0
+
+
 def main() -> int:
+    if len(sys.argv) == 3 and sys.argv[1] == "--markdown":
+        return markdown(sys.argv[2])
     if len(sys.argv) < 4:
         print(__doc__, file=sys.stderr)
         return 2
@@ -80,15 +145,16 @@ def main() -> int:
                 row["round_threads"] = int(parts[2])
             except ValueError:
                 pass
-        # BM_EngineRoundSparse/<n>/<load>: the activity series.  `load`
-        # 0/1/2 = dense / ~1% / ~0.1% offered; active_fraction comes back
-        # as a benchmark counter (mean fraction of frontier words touched
-        # per round).
-        if parts[0] == "BM_EngineRoundSparse" and len(parts) >= 3:
+        # BM_EngineRoundSparse/<n>/<load>/<round_threads>: the activity
+        # series.  `load` 0/1/2 = dense / ~1% / ~0.1% offered;
+        # active_fraction comes back as a benchmark counter (mean fraction
+        # of frontier words touched per round).
+        if parts[0] == "BM_EngineRoundSparse" and len(parts) >= 4:
             try:
                 row["n"] = int(parts[1])
                 row["load"] = {0: "dense", 1: "1%", 2: "0.1%"}.get(
                     int(parts[2]), parts[2])
+                row["round_threads"] = int(parts[3])
             except ValueError:
                 pass
         if "items_per_second" in bench:

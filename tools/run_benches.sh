@@ -9,7 +9,10 @@
 # Each bench_* binary mirrors its stdout tables into $DG_BENCH_JSON (see
 # bench/bench_support.h); bench_engine_micro is google-benchmark, so
 # tools/engine_micro_report.py converts its native report into the same
-# {elapsed_ms, sections} shape with rounds/sec rows.  Every run produces a
+# {elapsed_ms, sections} shape with rounds/sec rows.  Its BM_EngineRound
+# and BM_EngineRoundSparse series run at round_threads 1, 2, 4 and 8 in
+# the one pass (`engine_micro_report.py --markdown` prints the scaling
+# table from the JSON).  Every run produces a
 # BENCH_<name>.json with per-bench timing and metric rows, plus the
 # human-readable table in BENCH_<name>.txt.
 set -u
