@@ -166,6 +166,11 @@ std::string variant_report_json(const VariantResult& v,
                                 const std::string& git_sha) {
   std::ostringstream os;
   stamp(os, v.elapsed_ms, git_sha);
+  if (v.spec.obs) {
+    os << "  \"metrics\": ";
+    v.registry.write_json(os, /*include_timing=*/true, "  ");
+    os << ",\n";
+  }
   os << "  \"sections\": [\n    {\n      \"experiment\": \"scenario "
      << json::escape(v.spec.name) << "\",\n      \"claim\": \""
      << json::escape(describe(v.spec)) << "\",\n      \"tables\": [";

@@ -79,7 +79,9 @@ CampaignResult run_campaign(const Campaign& campaign,
 std::string counters_json(const CampaignResult& result);
 
 /// One variant's bench_support.h-shaped report (elapsed_ms,
-/// hardware_concurrency, git_sha, sections/tables).
+/// hardware_concurrency, git_sha, sections/tables).  An obs variant's
+/// report also embeds its full registry dump, timing domain included, as
+/// "metrics" (e.g. engine.dispatch.pool_jobs).  Never gated.
 std::string variant_report_json(const VariantResult& variant,
                                 const std::string& git_sha);
 

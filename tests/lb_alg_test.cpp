@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "engine_test_peer.h"
 #include "fault/spec.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
@@ -303,6 +304,7 @@ TEST(LbProcess, HighWaterDedupMatchesSetDedupUnderChurnAndSplices) {
         config.with_splice(splice);
       }
       sim.configure(config);
+      if (threads > 1) sim::EngineTestPeer::always_shard(sim.engine());
       sim.run_phases(6);
 
       EXPECT_GT(sim.ledger().recoveries, 0u) << what;

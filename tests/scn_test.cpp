@@ -455,6 +455,27 @@ TEST(CampaignReports, SanitizeAndShapes) {
   EXPECT_NE(rollup.find("\"variant_count\": 3"), std::string::npos);
 }
 
+TEST(CampaignReports, ObsVariantReportEmbedsTimingDomain) {
+  const auto p = parse(R"({"campaign": "o", "scenarios": [
+      {"name": "progress",
+       "topology": {"type": "clique", "k": 4},
+       "algorithm": {"type": "lb_progress", "r": 1.5, "senders": [1],
+                     "receiver": 0, "horizon_phases": 2},
+       "trials": 2, "seed": 231, "obs": true}]})");
+  ASSERT_TRUE(p.ok()) << p.error;
+  const auto result = run_campaign(p.campaign, RunOptions{});
+  const std::string report =
+      variant_report_json(result.variants[0], "testsha");
+  EXPECT_NE(report.find("\"metrics\": {"), std::string::npos);
+  EXPECT_NE(report.find("\"timing\": {"), std::string::npos);
+  EXPECT_NE(report.find("\"engine.dispatch.pool_jobs\""), std::string::npos);
+  // Without obs there is no registry to embed.
+  const auto plain = run_campaign(tiny_campaign(), RunOptions{});
+  EXPECT_EQ(variant_report_json(plain.variants[0], "testsha").find(
+                "\"metrics\": {"),
+            std::string::npos);
+}
+
 TEST(SchedulerSpecs, AllValidKindsBuild) {
   for (const char* spec :
        {"bernoulli:0.5", "bernoulli:0", "bernoulli:1", "full-g",

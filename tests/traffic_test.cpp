@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine_test_peer.h"
 #include "fault/plan.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
@@ -256,6 +257,7 @@ void check_busy_slab(std::size_t threads, bool bare) {
   sim::EngineConfig config = sim::EngineConfig{}.with_round_threads(threads);
   if (!bare) config.with_fault_plan(&churn);
   sim->configure(config);
+  if (threads > 1) sim::EngineTestPeer::always_shard(sim->engine());
 
   // Bare mode aborts only its own posts (the checker tracks the rest).  A
   // bare post stays outstanding until v is seen idle: acks land at the end
