@@ -13,7 +13,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -26,6 +25,7 @@
 #include "graph/generators.h"
 #include "lb/measure.h"
 #include "lb/simulation.h"
+#include "scn/json.h"
 #include "sim/scheduler.h"
 #include "stats/probes.h"
 #include "stats/summary.h"
@@ -34,30 +34,6 @@
 namespace dg::bench {
 
 namespace detail {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// True when the formatted cell can be emitted as a bare JSON number.
 /// Deliberately stricter than strtod: "nan", "inf", and hex forms parse as
@@ -123,12 +99,12 @@ class JsonReport {
     os << "{\n  \"elapsed_ms\": " << elapsed
        << ",\n  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n  \"git_sha\": \""
-       << json_escape(git_sha) << "\",\n  \"sections\": [";
+       << scn::json::escape(git_sha) << "\",\n  \"sections\": [";
     for (std::size_t i = 0; i < sections_.size(); ++i) {
       const auto& s = sections_[i];
       os << (i ? ",\n" : "\n") << "    {\n      \"experiment\": \""
-         << json_escape(s.experiment) << "\",\n      \"claim\": \""
-         << json_escape(s.claim) << "\",\n      \"tables\": [";
+         << scn::json::escape(s.experiment) << "\",\n      \"claim\": \""
+         << scn::json::escape(s.claim) << "\",\n      \"tables\": [";
       for (std::size_t t = 0; t < s.tables.size(); ++t) {
         const auto& tab = s.tables[t];
         // Row objects are keyed by column header; duplicate headers would
@@ -147,7 +123,8 @@ class JsonReport {
         }
         os << (t ? ",\n" : "\n") << "        {\n          \"columns\": [";
         for (std::size_t c = 0; c < tab.headers.size(); ++c) {
-          os << (c ? ", " : "") << '"' << json_escape(tab.headers[c]) << '"';
+          os << (c ? ", " : "") << '"' << scn::json::escape(tab.headers[c])
+             << '"';
         }
         os << "],\n          \"rows\": [";
         for (std::size_t r = 0; r < tab.rows.size(); ++r) {
@@ -155,12 +132,13 @@ class JsonReport {
           const auto& row = tab.rows[r];
           for (std::size_t c = 0; c < row.size(); ++c) {
             os << (c ? ", " : "") << '"'
-               << json_escape(c < keys.size() ? keys[c] : std::to_string(c))
+               << scn::json::escape(c < keys.size() ? keys[c]
+                                                    : std::to_string(c))
                << "\": ";
             if (json_numeric(row[c])) {
               os << row[c];
             } else {
-              os << '"' << json_escape(row[c]) << '"';
+              os << '"' << scn::json::escape(row[c]) << '"';
             }
           }
           os << '}';

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "scn/json.h"
-#include "sim/trace.h"
 #include "util/assert.h"
 
 namespace dg::obs {
@@ -16,15 +15,20 @@ namespace {
 constexpr int kEnginePid = 1;
 constexpr int kMessagesPid = 2;
 constexpr int kFaultsPid = 3;
-constexpr int kRecorderPid = 4;
+constexpr int kWirePid = 4;
 constexpr int kStagesPid = 5;
+
+/// Content (data) or owner (seed) of a wire packet.
+std::uint64_t packet_detail(const sim::Packet& p) {
+  return p.is_data() ? p.data().content : p.seed().owner;
+}
 
 const char* pid_name(int pid) {
   switch (pid) {
     case kEnginePid: return "engine";
     case kMessagesPid: return "messages";
     case kFaultsPid: return "faults";
-    case kRecorderPid: return "recorder";
+    case kWirePid: return "wire";
     case kStagesPid: return "stages";
     default: return "track";
   }
@@ -32,9 +36,95 @@ const char* pid_name(int pid) {
 
 }  // namespace
 
-TraceSink::TraceSink(Filter filter) : filter_(std::move(filter)) {
+TraceSink::TraceSink() : TraceSink(Filter{}) {}
+
+TraceSink::TraceSink(Filter filter, std::size_t wire_capacity)
+    : filter_(std::move(filter)), wire_capacity_(wire_capacity) {
   DG_EXPECTS(filter_.round_lo <= filter_.round_hi);
+  DG_EXPECTS(wire_capacity <= kMaxWireCapacity);
   std::sort(filter_.vertices.begin(), filter_.vertices.end());
+}
+
+unsigned TraceSink::interest() const {
+  return wire_capacity_ > 0 ? (kTransmit | kReceive | kSilence) : 0u;
+}
+
+void TraceSink::push_wire(const WireEvent& event) {
+  if (wire_.size() < wire_capacity_) {
+    wire_.push_back(event);
+  } else {
+    wire_[wire_recorded_ % wire_capacity_] = event;
+  }
+  ++wire_recorded_;
+}
+
+void TraceSink::on_transmit(sim::Round round, graph::Vertex v,
+                            const sim::Packet& p) {
+  push_wire({round, v, 0, packet_detail(p), WireKind::transmit, p.is_data()});
+}
+
+void TraceSink::on_receive(sim::Round round, graph::Vertex u,
+                           graph::Vertex from, const sim::Packet& p) {
+  push_wire({round, u, from, packet_detail(p), WireKind::receive,
+             p.is_data()});
+}
+
+void TraceSink::on_silence(sim::Round round, graph::Vertex u,
+                           bool collision) {
+  if (!collision) return;  // plain silence is noise; collisions matter
+  push_wire({round, u, 0, 0, WireKind::collision, false});
+}
+
+const TraceSink::WireEvent& TraceSink::wire_at(std::size_t i) const {
+  // Until the ring wraps wire_recorded_ == wire_.size(); after, the oldest
+  // event sits at the next write slot.  Both are wire_recorded_ % size.
+  return wire_[(wire_recorded_ + i) % wire_.size()];
+}
+
+std::string TraceSink::describe(const WireEvent& event) {
+  std::ostringstream os;
+  os << "round " << event.round << ": ";
+  const char* payload = event.is_data ? "data content=" : "seed owner=";
+  switch (event.kind) {
+    case WireKind::transmit:
+      os << "v" << event.vertex << " tx " << payload << event.detail;
+      break;
+    case WireKind::receive:
+      os << "v" << event.peer << " -> v" << event.vertex << " " << payload
+         << event.detail;
+      break;
+    case WireKind::collision:
+      os << "v" << event.vertex << " collision";
+      break;
+  }
+  return os.str();
+}
+
+void TraceSink::write_text(std::ostream& os) const {
+  if (wire_dropped() > 0) {
+    os << "... (" << wire_dropped() << " earlier events dropped)\n";
+  }
+  for (std::size_t i = 0; i < wire_.size(); ++i) {
+    os << describe(wire_at(i)) << '\n';
+  }
+}
+
+std::vector<TraceSink::Event> TraceSink::wire_instants() const {
+  static constexpr const char* kWireNames[] = {"tx", "rx", "collision"};
+  std::vector<Event> out;
+  for (std::size_t i = 0; i < wire_.size(); ++i) {
+    const WireEvent& w = wire_at(i);
+    if (!round_in_range(w.round) || !vertex_selected(w.vertex)) continue;
+    Event e;
+    e.name = kWireNames[static_cast<std::size_t>(w.kind)];
+    e.ph = 'i';
+    e.ts = w.round * kRoundTickUs;
+    e.pid = kWirePid;
+    e.tid = w.vertex;
+    e.args_json = "{\"text\": \"" + scn::json::escape(describe(w)) + "\"}";
+    out.push_back(std::move(e));
+  }
+  return out;
 }
 
 bool TraceSink::round_in_range(std::int64_t round) const noexcept {
@@ -172,26 +262,36 @@ void TraceSink::instant(std::int64_t round, std::uint32_t vertex,
   push(std::move(e));
 }
 
+std::size_t TraceSink::event_count() const {
+  return events_.size() + wire_instants().size();
+}
+
 void TraceSink::write_json(std::ostream& os) const {
+  // The wire tail goes after the recorded events, so at equal ts its
+  // instants follow them.
+  const std::vector<Event> wire = wire_instants();
+  std::vector<bool> used_pids = used_pids_;
+  if (!wire.empty()) used_pids[kWirePid] = true;
+  std::vector<const Event*> order;
+  order.reserve(events_.size() + wire.size());
+  for (const Event& e : events_) order.push_back(&e);
+  for (const Event& e : wire) order.push_back(&e);
   // Stable sort by timestamp: per-track monotone file order, parents
   // before children at equal ts (insertion order breaks ties).
-  std::vector<std::size_t> order(events_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return events_[a].ts < events_[b].ts;
-                   });
+  std::stable_sort(
+      order.begin(), order.end(),
+      [](const Event* a, const Event* b) { return a->ts < b->ts; });
   os << "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [";
   bool first = true;
-  for (std::size_t pid = 0; pid < used_pids_.size(); ++pid) {
-    if (!used_pids_[pid]) continue;
+  for (std::size_t pid = 0; pid < used_pids.size(); ++pid) {
+    if (!used_pids[pid]) continue;
     os << (first ? "\n" : ",\n") << "{\"name\": \"process_name\", \"ph\": "
        << "\"M\", \"pid\": " << pid << ", \"tid\": 0, \"ts\": 0, \"args\": "
        << "{\"name\": \"" << pid_name(static_cast<int>(pid)) << "\"}}";
     first = false;
   }
-  for (const std::size_t idx : order) {
-    const Event& e = events_[idx];
+  for (const Event* ep : order) {
+    const Event& e = *ep;
     os << (first ? "\n" : ",\n") << "{\"name\": \""
        << scn::json::escape(e.name) << "\", \"ph\": \"" << e.ph
        << "\", \"ts\": " << e.ts;
@@ -209,27 +309,6 @@ std::string TraceSink::json() const {
   std::ostringstream os;
   write_json(os);
   return os.str();
-}
-
-void export_recorder(const sim::TraceRecorder& recorder, TraceSink& sink) {
-  using EventKind = sim::TraceRecorder::EventKind;
-  for (const auto& ev : recorder.events()) {
-    const char* name = "?";
-    switch (ev.kind) {
-      case EventKind::transmit: name = "tx"; break;
-      case EventKind::receive: name = "rx"; break;
-      case EventKind::collision: name = "collision"; break;
-      case EventKind::round_begin: name = "round_begin"; break;
-      case EventKind::round_end: name = "round_end"; break;
-      case EventKind::crash: name = "crash"; break;
-      case EventKind::recover: name = "recover"; break;
-    }
-    const std::string args = "{\"text\": \"" +
-                             scn::json::escape(
-                                 sim::TraceRecorder::describe(ev)) +
-                             "\"}";
-    sink.instant(ev.round, ev.vertex, name, /*pid=*/4, args);
-  }
 }
 
 }  // namespace dg::obs

@@ -15,19 +15,30 @@
 //                           traffic message with "queued"/"inflight"
 //                           children and a "first_recv" instant
 //   pid 3 "faults"   tid = vertex: "crash"/"recover" instants
-//   pid 4 "recorder" tid = vertex: sim::TraceRecorder events exported via
-//                           export_recorder()
+//   pid 4 "wire"     tid = vertex: the wire tail -- the last N
+//                           "tx"/"rx"/"collision" events, each carrying
+//                           its write_text() line as {"text": ...}
 //   pid 5 "stages"   tid = vertex: spliced-stage instants (e.g. the
 //                           trace-tap stage's per-vertex probes)
 //
-// Filters: a round range and a vertex set, applied at record time so
-// million-node runs stay bounded.  Phase slices honor only the round
-// range; vertex-scoped events honor both.
+// Wire tail: registered as an engine observer, the sink keeps the last
+// `wire_capacity` transmissions, receptions and collisions (plain silence
+// is dropped) in a fixed-size ring of plain structs; write_text() renders
+// it one line per event and write_json() as the pid 4 instants.  A sink
+// built with capacity 0 declares no observer interest and records no wire
+// events.
+//
+// Filters: a round range and a vertex set.  Engine, message, fault and
+// stage events are filtered at record time so million-node runs stay
+// bounded; the wire ring is filtered when the JSON is written, so
+// write_text() and write_json() read the same ring.  Phase slices honor
+// only the round range; vertex-scoped events honor both.
 //
 // Output ordering: write_json() sorts events by timestamp (stable, so a
 // parent slice inserted before its children stays before them at equal
-// ts), which makes per-track timestamps monotone in file order -- the
-// property tools/validate_trace.py checks in CI.
+// ts, and wire instants follow the other events of their tick), which
+// makes per-track timestamps monotone in file order -- the property
+// tools/validate_trace.py checks in CI.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +47,16 @@
 #include <string>
 #include <vector>
 
-namespace dg::sim {
-class TraceRecorder;
-}  // namespace dg::sim
+#include "sim/observer.h"
 
 namespace dg::obs {
 
-class TraceSink {
+class TraceSink final : public sim::Observer {
  public:
   /// Microseconds of virtual time per round.
   static constexpr std::int64_t kRoundTickUs = 1000;
+  /// Largest wire tail a sink keeps (32 bytes an event: 2 MiB).
+  static constexpr std::size_t kMaxWireCapacity = std::size_t{1} << 16;
 
   struct Filter {
     std::int64_t round_lo = 0;  ///< inclusive
@@ -54,10 +65,24 @@ class TraceSink {
     std::vector<std::uint32_t> vertices;
   };
 
-  TraceSink() = default;
-  explicit TraceSink(Filter filter);
+  TraceSink();
+  /// Keeps the last `wire_capacity` wire events (0 = none), at most
+  /// kMaxWireCapacity.
+  explicit TraceSink(Filter filter, std::size_t wire_capacity = 0);
 
-  const Filter& filter() const noexcept { return filter_; }
+  // ---- sim::Observer: the wire tail ----
+  // Interest is sampled at add_observer(); it is empty at capacity 0.
+  unsigned interest() const override;
+  void on_transmit(sim::Round round, graph::Vertex v,
+                   const sim::Packet& p) override;
+  void on_receive(sim::Round round, graph::Vertex u, graph::Vertex from,
+                  const sim::Packet& p) override;
+  void on_silence(sim::Round round, graph::Vertex u, bool collision) override;
+
+  /// The unfiltered wire tail, oldest first, one line per event
+  /// ("round 17: v3 -> v5 data content=42"), after a "... (K earlier
+  /// events dropped)" line when the ring overflowed.
+  void write_text(std::ostream& os) const;
 
   /// One profiled round: parallel vectors of stage names and wall-clock
   /// nanoseconds (0 = the stage did not run this round), in pipeline
@@ -77,14 +102,14 @@ class TraceSink {
   void crash(std::int64_t round, std::uint32_t vertex);
   void recover(std::int64_t round, std::uint32_t vertex);
 
-  /// Free-form instant on (pid, tid=vertex) at the round tick; used by the
-  /// recorder export.  Subject to both filters.
+  /// Free-form instant on (pid, tid=vertex) at the round tick; used by
+  /// spliced stages.  Subject to both filters.
   void instant(std::int64_t round, std::uint32_t vertex,
                const std::string& name, int pid,
                const std::string& args_json = "");
 
-  /// Recorded events (metadata excluded).
-  std::size_t event_count() const noexcept { return events_.size(); }
+  /// Events write_json() emits (metadata excluded).
+  std::size_t event_count() const;
 
   /// The complete trace document: {"displayTimeUnit", "traceEvents": [..]}.
   void write_json(std::ostream& os) const;
@@ -101,19 +126,39 @@ class TraceSink {
     std::string args_json;  ///< pre-rendered {"k": v} body, may be empty
   };
 
+  enum class WireKind : std::uint8_t { transmit, receive, collision };
+
+  /// One wire event of the tail.
+  struct WireEvent {
+    sim::Round round = 0;
+    graph::Vertex vertex = 0;  ///< transmitter / receiver / listener
+    graph::Vertex peer = 0;    ///< sender, for receive events
+    std::uint64_t detail = 0;  ///< content (data) / owner (seed)
+    WireKind kind = WireKind::transmit;
+    bool is_data = false;      ///< data vs seed payload
+  };
+
+  /// The write_text() line of one wire event.
+  static std::string describe(const WireEvent& event);
+
   bool round_in_range(std::int64_t round) const noexcept;
   bool vertex_selected(std::uint32_t vertex) const;
   void push(Event event);
+  void push_wire(const WireEvent& event);
+  /// The i-th oldest event of the wire tail, i < wire_.size().
+  const WireEvent& wire_at(std::size_t i) const;
+  std::size_t wire_dropped() const noexcept {
+    return wire_recorded_ - wire_.size();
+  }
+  /// The ring's events that pass the filters, as pid 4 instants.
+  std::vector<Event> wire_instants() const;
 
   Filter filter_;
   std::vector<bool> used_pids_ = std::vector<bool>(8, false);
   std::vector<Event> events_;
+  std::size_t wire_capacity_;
+  std::vector<WireEvent> wire_;     ///< ring, grows to wire_capacity_
+  std::size_t wire_recorded_ = 0;   ///< events ever pushed
 };
-
-/// Replays a sim::TraceRecorder's buffered events into `sink` as instants
-/// on the "recorder" track (pid 4), named by event kind with the
-/// describe() text as an argument, so the text and JSON renderings of one
-/// recording agree event-for-event (modulo the sink's filters).
-void export_recorder(const sim::TraceRecorder& recorder, TraceSink& sink);
 
 }  // namespace dg::obs

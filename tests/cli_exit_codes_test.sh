@@ -1,7 +1,8 @@
 #!/bin/sh
 # Bad command-line input must exit 2 with a message, never crash: numeric
-# dglab flags outside the scenario schema's ranges, and a campaign file
-# nested deeper than the JSON parser's cap.
+# dglab flags outside the scenario schema's ranges, bad trace flags (which
+# must be rejected before dglab prints or builds anything), and a campaign
+# file nested deeper than the JSON parser's cap.
 #
 #   tests/cli_exit_codes_test.sh <dglab> <dgcampaign>
 set -u
@@ -26,10 +27,49 @@ expect_exit2() {
   fi
 }
 
+# expect_exit2_silent <label> <command...>: exit 2 with nothing on stdout.
+expect_exit2_silent() {
+  label=$1
+  shift
+  "$@" >"$tmp/stdout" 2>"$tmp/stderr"
+  status=$?
+  if [ "$status" -ne 2 ] || [ -s "$tmp/stdout" ]; then
+    echo "FAIL: $label exited $status with $(wc -l <"$tmp/stdout") stdout" \
+      "line(s), want 2 and none"
+    cat "$tmp/stdout" "$tmp/stderr" | sed 's/^/  | /' | tail -n 5
+    failures=$((failures + 1))
+  else
+    echo "ok:   $label -> 2: $(head -n 1 "$tmp/stderr")"
+  fi
+}
+
 for flag in --n=0 --eps=0 --eps=2 --r=0.5 --phases=-1; do
   expect_exit2 "dglab run $flag" \
     "$dglab" run --type=geometric --n=16 --phases=1 "$flag"
 done
+
+# --trace is a wire-tail length in [1, 65536]; -1 used to wrap to 2^64-1
+# and keep every event, abc and 0 used to become a one-event tail.
+for flag in --trace=abc --trace=0 --trace=-1 --trace=65537 --trace=; do
+  expect_exit2_silent "dglab run $flag" \
+    "$dglab" run --type=geometric --n=16 --phases=1 "$flag"
+done
+# Trace filters: vertex ids must name a vertex (n=16), a round window must
+# be LO:HI with HI < 2^63 (a larger HI used to abort), and both need
+# --trace-out.
+for flags in "--trace-vertices=16" "--trace-vertices=3,999999" \
+             "--trace-vertices=4294967296" "--trace-rounds=9:2" \
+             "--trace-rounds=0:18446744073709551615"; do
+  expect_exit2_silent "dglab run $flags --trace-out" \
+    "$dglab" run --type=geometric --n=16 --phases=1 "$flags" \
+    --trace-out="$tmp/t.json"
+done
+for flag in --trace-rounds=1:2 --trace-vertices=1; do
+  expect_exit2_silent "dglab run $flag (no --trace-out)" \
+    "$dglab" run --type=geometric --n=16 --phases=1 "$flag"
+done
+expect_exit2_silent "dglab seed --trace=4" \
+  "$dglab" seed --type=geometric --n=16 --trace=4
 
 # 200 000 unclosed '[' -- the recursive parser used to overflow the stack.
 head -c 200000 /dev/zero | tr '\0' '[' >"$tmp/deep.json"

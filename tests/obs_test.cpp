@@ -2,12 +2,14 @@
 // semantics (the campaign roll-up relies on merge ORDER being observable
 // through gauges), JSON well-formedness of both emitters (checked with the
 // scn strict parser, not string fishing), trace span nesting inside the
-// virtual round tick, and the record-time filters.
+// virtual round tick, the record-time filters, and the wire tail's
+// write-time filters.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +17,6 @@
 #include "obs/registry.h"
 #include "obs/trace_sink.h"
 #include "scn/json.h"
-#include "sim/trace.h"
 
 namespace dg::obs {
 namespace {
@@ -309,29 +310,53 @@ TEST(ObsTraceSink, VertexFilterScopesMessageAndFaultTracks) {
   EXPECT_NE(find_event(events, "round 1"), nullptr);
 }
 
-// ---- recorder export ----
+// ---- wire tail ----
 
-TEST(ObsTraceSink, ExportRecorderMirrorsDescribeText) {
-  sim::TraceRecorder recorder(16);
-  recorder.enable_round_markers(true);
-  recorder.enable_fault_events(true);
-  recorder.on_round_begin(3);
-  recorder.on_crash(3, 9);
-  recorder.on_recover(5, 9);
-  recorder.on_round_end(5);
+TEST(ObsTraceSink, WireInstantsCarryTheTextTailAndHonourFilters) {
+  TraceSink::Filter f;
+  f.round_lo = 3;
+  f.round_hi = 5;
+  f.vertices = {1, 2};
+  TraceSink sink(f, /*wire_capacity=*/8);
+  const sim::Packet data{1, sim::DataPayload{sim::MessageId{1, 1}, 42}};
+  sink.on_transmit(2, 1, data);      // before the round window
+  sink.on_transmit(3, 1, data);      // kept
+  sink.on_receive(3, 2, 1, data);    // kept
+  sink.on_receive(3, 4, 1, data);    // vertex 4 not selected
+  sink.on_silence(4, 2, /*collision=*/false);  // plain silence: not recorded
+  sink.on_silence(4, 2, /*collision=*/true);   // kept
+  sink.on_transmit(6, 2, data);      // after the round window
 
-  TraceSink sink;
-  export_recorder(recorder, sink);
-  ASSERT_EQ(sink.event_count(), 4u);
-  const auto events = parse_events(sink);
-  EXPECT_NE(find_event(events, "round_begin"), nullptr);
-  EXPECT_NE(find_event(events, "crash"), nullptr);
-  EXPECT_NE(find_event(events, "recover"), nullptr);
-  EXPECT_NE(find_event(events, "round_end"), nullptr);
-  // The describe() text rides along, so the JSON and text renderings of
-  // one recording agree.
-  EXPECT_NE(sink.json().find("v9 crash"), std::string::npos);
-  for (const Ev& e : events) EXPECT_EQ(e.pid, 4) << e.name;
+  // The text view is the whole ring, unfiltered.
+  std::ostringstream text;
+  sink.write_text(text);
+  EXPECT_EQ(text.str(),
+            "round 2: v1 tx data content=42\n"
+            "round 3: v1 tx data content=42\n"
+            "round 3: v1 -> v2 data content=42\n"
+            "round 3: v1 -> v4 data content=42\n"
+            "round 4: v2 collision\n"
+            "round 6: v2 tx data content=42\n");
+
+  // The JSON view is the same ring through the filters, on the wire
+  // track, each instant carrying its text line.
+  const Value doc = parse_ok(sink.json());
+  std::vector<std::string> names, lines;
+  for (const Value& v : doc.find("traceEvents")->items()) {
+    if (v.find("ph")->as_string() == "M") {
+      EXPECT_EQ(v.find("args")->find("name")->as_string(), "wire");
+      continue;
+    }
+    EXPECT_EQ(v.find("pid")->as_number(), 4);
+    names.push_back(v.find("name")->as_string());
+    lines.push_back(v.find("args")->find("text")->as_string());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"tx", "rx", "collision"}));
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       "round 3: v1 tx data content=42",
+                       "round 3: v1 -> v2 data content=42",
+                       "round 4: v2 collision"}));
+  EXPECT_EQ(sink.event_count(), 3u);
 }
 
 }  // namespace

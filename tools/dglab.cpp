@@ -33,18 +33,25 @@
 //           see sim/splice.h for the grammar.  Applies to run, sweep and
 //           seed; a dedup stage suppresses recently-heard packets, a tap
 //           stage counts slab population per round into the telemetry)
-//   --reuse=1 (phases per seed)  --ablate (private coins)  --trace=N
+//   --reuse=1 (phases per seed)  --ablate (private coins)
 // Telemetry flags (run only):
+//   --trace=N  print the last N wire events (transmissions, receptions,
+//           collisions) after the report, 1 <= N <= 65536; with
+//           --trace-out the same N-event tail becomes the trace's "wire"
+//           track (16 events when only --trace-out is given).  Without
+//           --trace or --trace-out no trace observer is registered.
 //   --metrics-out=FILE  write the obs::Registry dump (dg-metrics-v1 JSON;
 //           the "logical" domain is byte-identical at every
 //           --round-threads value, "timing" is wall clock)
 //   --trace-out=FILE    write a Chrome trace-event JSON (open in Perfetto
 //           or chrome://tracing): per-round engine phase slices, message
 //           lifecycle spans (enqueue->admit->first-recv->ack/abort),
-//           crash/recover instants, and the TraceRecorder tail
+//           crash/recover instants, and the wire tail (see --trace)
 //   --trace-rounds=LO:HI  clamp trace events to a round window
-//   --trace-vertices=v1,v2,...  keep only these vertices' message spans
-//           and fault instants (engine phase slices always pass)
+//   --trace-vertices=v1,v2,...  keep only these vertices' (each < n)
+//           message spans, fault instants and wire events in the JSON
+//           (engine phase slices always pass; the --trace text does not
+//           filter).  Both need --trace-out.
 //
 // --topology=family:args is a compact alias for the topology flags:
 //   grid:32x32 | geometric:256 | clique:16 | star:16 | line:16
@@ -62,6 +69,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -82,7 +90,6 @@
 #include "seed/spec.h"
 #include "sim/engine.h"
 #include "sim/scheduler.h"
-#include "sim/trace.h"
 #include "traffic/spec.h"
 #include "util/specparse.h"
 #include "util/table.h"
@@ -98,10 +105,11 @@ constexpr const char* kValidFlags[] = {
     "type", "n", "side", "r", "cols", "rows", "spacing", "k",   // topology
     "topology",                                                 // alias
     "eps", "seed", "phases", "senders", "ack-scale",            // run
-    "sched", "channel", "reuse", "ablate", "trace", "deltas",   // run/sweep
+    "sched", "channel", "reuse", "ablate", "deltas",            // run/sweep
     "traffic", "traffic-cap", "round-threads", "faults",        // environment
     "splice",                                                   // pipeline
-    "metrics-out", "trace-out", "trace-rounds", "trace-vertices",  // obs
+    "metrics-out", "trace", "trace-out", "trace-rounds",        // obs
+    "trace-vertices",
 };
 
 class Flags {
@@ -365,35 +373,67 @@ std::unique_ptr<phys::ChannelModel> build_channel(const Flags& flags,
   return std::make_unique<phys::SinrChannel>(spec.sinr);
 }
 
-/// Parses --trace-rounds=LO:HI / --trace-vertices=v1,v2,... into a sink
-/// filter, exiting with a message on malformed values.
-obs::TraceSink::Filter trace_filter_flags(const Flags& flags) {
-  obs::TraceSink::Filter f;
+/// Wire tail length when --trace-out is given without --trace.
+constexpr std::size_t kDefaultWireTail = 16;
+
+/// What the trace flags ask for: the wire tail length (0 = no trace sink)
+/// and the JSON filters.
+struct TraceFlags {
+  std::size_t wire_tail = 0;
+  obs::TraceSink::Filter filter;
+};
+
+/// Parses every trace flag before any work is done, exiting 2 with a
+/// message on a bad value.  cmd_run checks the vertex ids against n
+/// before it prints anything.
+TraceFlags trace_flags(const Flags& flags) {
+  const auto reject = [](const std::string& message) {
+    std::cerr << "dglab: " << message << "\n";
+    std::exit(2);
+  };
+  const bool out = flags.flag("trace-out");
+  if (!out && (flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
+    reject("--trace-rounds/--trace-vertices need --trace-out=");
+  }
+  TraceFlags t;
+  if (flags.flag("trace")) {
+    const std::string s = flags.str("trace", "");
+    std::uint64_t n = 0;
+    if (!parse_uint(s, n) || n == 0 || n > obs::TraceSink::kMaxWireCapacity) {
+      reject("--trace: the wire tail length must be an integer in [1, " +
+             std::to_string(obs::TraceSink::kMaxWireCapacity) + "]; got '" +
+             s + "'");
+    }
+    t.wire_tail = static_cast<std::size_t>(n);
+  } else if (out) {
+    t.wire_tail = kDefaultWireTail;
+  }
   if (flags.flag("trace-rounds")) {
     const std::string s = flags.str("trace-rounds", "");
     const auto colon = s.find(':');
     std::uint64_t lo = 0, hi = 0;
     if (colon == std::string::npos || !parse_uint(s.substr(0, colon), lo) ||
-        !parse_uint(s.substr(colon + 1), hi) || lo > hi) {
-      std::cerr << "dglab: --trace-rounds needs LO:HI with LO <= HI; got '"
-                << s << "'\n";
-      std::exit(2);
+        !parse_uint(s.substr(colon + 1), hi) || lo > hi ||
+        hi > static_cast<std::uint64_t>(
+                 std::numeric_limits<std::int64_t>::max())) {
+      reject("--trace-rounds needs LO:HI with LO <= HI < 2^63; got '" + s +
+             "'");
     }
-    f.round_lo = static_cast<std::int64_t>(lo);
-    f.round_hi = static_cast<std::int64_t>(hi);
+    t.filter.round_lo = static_cast<std::int64_t>(lo);
+    t.filter.round_hi = static_cast<std::int64_t>(hi);
   }
   if (flags.flag("trace-vertices")) {
     for (const std::string& v : split(flags.str("trace-vertices", ""), ',')) {
       std::uint64_t parsed = 0;
-      if (!parse_uint(v, parsed)) {
-        std::cerr << "dglab: --trace-vertices needs a comma-separated "
-                     "vertex list; got '" << v << "'\n";
-        std::exit(2);
+      if (!parse_uint(v, parsed) ||
+          parsed > std::numeric_limits<graph::Vertex>::max()) {
+        reject("--trace-vertices needs a comma-separated vertex list; got '" +
+               v + "'");
       }
-      f.vertices.push_back(static_cast<std::uint32_t>(parsed));
+      t.filter.vertices.push_back(static_cast<graph::Vertex>(parsed));
     }
   }
-  return f;
+  return t;
 }
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -503,10 +543,17 @@ int cmd_seed(const Flags& flags) {
   return res.well_formed && res.consistent ? 0 : 1;
 }
 
-int cmd_run(const Flags& flags) {
+int cmd_run(const Flags& flags, const TraceFlags& trace) {
   const std::uint64_t master = flags.uint("seed", 1);
   Rng rng(master);
   const auto g = build_network(flags, rng);
+  for (const graph::Vertex v : trace.filter.vertices) {
+    if (v >= g.size()) {
+      std::cerr << "dglab: --trace-vertices: vertex " << v
+                << " is out of range for network size " << g.size() << "\n";
+      std::exit(2);
+    }
+  }
   describe(g, flags);
 
   lb::LbScales scales;
@@ -529,29 +576,16 @@ int cmd_run(const Flags& flags) {
 
   const bool want_metrics = flags.flag("metrics-out");
   const bool want_trace = flags.flag("trace-out");
-  if (!want_trace &&
-      (flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
-    std::cerr << "dglab: --trace-rounds/--trace-vertices need --trace-out=\n";
-    std::exit(2);
-  }
   obs::Registry registry;  // backs --trace-out's profiler even without
                            // --metrics-out; only written when asked for
   std::unique_ptr<obs::TraceSink> sink;
-  if (want_trace) {
-    sink = std::make_unique<obs::TraceSink>(trace_filter_flags(flags));
+  if (trace.wire_tail != 0) {
+    sink = std::make_unique<obs::TraceSink>(trace.filter, trace.wire_tail);
+    sim.add_observer(sink.get());
   }
-
-  sim::TraceRecorder trace(static_cast<std::size_t>(
-      std::max<std::uint64_t>(1, flags.uint("trace", 16))));
-  if (want_trace) {
-    // Richer recorder tail for the exported track (set before
-    // registration: observer interest is sampled at add_observer).
-    trace.enable_round_markers(true);
-    trace.enable_fault_events(true);
-  }
-  sim.add_observer(&trace);
   if (want_metrics || want_trace) {
-    sim.configure(sim::EngineConfig{}.with_telemetry(&registry, sink.get()));
+    sim.configure(sim::EngineConfig{}.with_telemetry(
+        &registry, want_trace ? sink.get() : nullptr));
   }
 
   const std::string traffic_str = flags.str("traffic", "");
@@ -682,7 +716,7 @@ int cmd_run(const Flags& flags) {
   }
   if (flags.flag("trace")) {
     std::cout << "\ntrace tail:\n";
-    trace.print(std::cout);
+    sink->write_text(std::cout);
   }
   if (want_metrics) {
     const std::string path = flags.str("metrics-out", "");
@@ -694,7 +728,6 @@ int cmd_run(const Flags& flags) {
               << "\n";
   }
   if (want_trace) {
-    obs::export_recorder(trace, *sink);
     const std::string path = flags.str("trace-out", "");
     if (!write_file(path, sink->json())) {
       std::cerr << "dglab: --trace-out: cannot write '" << path << "'\n";
@@ -750,6 +783,7 @@ void usage() {
                "star:16 | line:16\n"
                "  --metrics-out=FILE --trace-out=FILE  telemetry dumps "
                "(trace-event JSON loads in Perfetto)\n"
+               "  --trace=N  print the last N wire events (tx/rx/collision)\n"
                "  --trace-rounds=LO:HI --trace-vertices=v1,v2  trace filters\n"
                "  --channel=dual | sinr:alpha,beta,noise  reception physics\n"
                "  --splice=noop | dedup[:window[:slab]] | tap:slab[:v1,...]"
@@ -805,16 +839,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (cmd != "run" &&
-      (flags.flag("metrics-out") || flags.flag("trace-out") ||
-       flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
-    std::cerr << "dglab: the telemetry flags (--metrics-out/--trace-out/"
-                 "--trace-rounds/--trace-vertices) only apply to the 'run' "
-                 "subcommand\n";
+      (flags.flag("metrics-out") || flags.flag("trace") ||
+       flags.flag("trace-out") || flags.flag("trace-rounds") ||
+       flags.flag("trace-vertices"))) {
+    std::cerr << "dglab: the telemetry flags (--metrics-out/--trace/"
+                 "--trace-out/--trace-rounds/--trace-vertices) only apply to "
+                 "the 'run' subcommand\n";
     return 2;
   }
+  const TraceFlags trace = trace_flags(flags);
   if (cmd == "net") return cmd_net(flags);
   if (cmd == "seed") return cmd_seed(flags);
-  if (cmd == "run") return cmd_run(flags);
+  if (cmd == "run") return cmd_run(flags, trace);
   if (cmd == "sweep") return cmd_sweep(flags);
   usage();
   return 2;

@@ -2,7 +2,8 @@
 """Validate a Chrome trace-event JSON file (dglab --trace-out).
 
 Usage: validate_trace.py TRACE.json [--expect-phases] [--expect-span]
-                         [--expect-faults] [--expect-stage NAME]
+                         [--expect-faults] [--expect-wire]
+                         [--expect-stage NAME]
 
 Checks, in order:
   1. the file parses as JSON and carries a "traceEvents" array
@@ -17,7 +18,8 @@ Checks, in order:
 
 The --expect-* flags turn presence checks into failures (CI uses them to
 assert the acceptance-criteria content: engine phase slices, at least one
-complete enqueue->ack message span, crash/recover instants).
+complete enqueue->ack message span, crash/recover instants, a wire tail of
+tx/rx instants on the "wire" track).
 
 Exit 0 when everything holds; 1 with a message per violation otherwise.
 """
@@ -38,6 +40,10 @@ def main():
                              "is present")
     parser.add_argument("--expect-faults", action="store_true",
                         help="fail unless crash/recover instants are present")
+    parser.add_argument("--expect-wire", action="store_true",
+                        help="fail unless the wire track (pid 4) has a tx "
+                             "and an rx instant and nothing but "
+                             "tx/rx/collision instants")
     parser.add_argument("--expect-stage", action="append", default=[],
                         metavar="NAME",
                         help="fail unless a slice named NAME is present "
@@ -73,6 +79,10 @@ def main():
     saw_crash = False
     saw_recover = False
     saw_stages = set()
+    wire_pid = 4
+    wire_names = {"tx", "rx", "collision"}
+    saw_wire = set()   # wire_names seen as instants on the wire track
+    stray_wire = set()  # anything else on the wire track
 
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
@@ -112,6 +122,11 @@ def main():
             saw_recover = True
         if name in args.expect_stage:
             saw_stages.add(name)
+        if ev["pid"] == wire_pid:
+            if ph == "i" and name in wire_names:
+                saw_wire.add(name)
+            else:
+                stray_wire.add(f"{ph}:{name}")
 
     if args.expect_phases and not saw_phase:
         errors += 1
@@ -123,6 +138,15 @@ def main():
         errors += 1
         print(f"  missing: fault instants (crash={saw_crash}, "
               f"recover={saw_recover})")
+    if args.expect_wire:
+        for name in ("tx", "rx"):
+            if name not in saw_wire:
+                errors += 1
+                print(f"  missing: a '{name}' instant on the wire track")
+        if stray_wire:
+            errors += 1
+            print(f"  unexpected events on the wire track: "
+                  f"{sorted(stray_wire)}")
     for stage in args.expect_stage:
         if stage not in saw_stages:
             errors += 1
