@@ -128,14 +128,20 @@ TEST(LbLocality, LatencyBoundsIndependentOfNetworkSize) {
     return rec.delivered() ? rec.delivered_round : -1;
   };
 
-  // Same seed-derived randomness won't match across sizes, but delivery
-  // must complete within the same (n-independent) phase budget.
-  for (std::uint64_t seed : {100u, 101u}) {
+  // Locality itself: every vertex draws from its own (master seed, vertex)
+  // stream, so clique 0's execution cannot see the 31 far-away copies --
+  // the delivery round (or non-delivery) is the same at 32x the network
+  // size, seed for seed.  ack_scale = 0.005 leaves some seeds undelivered
+  // within t_ack_phases + 1; those must match too, and most seeds deliver.
+  constexpr std::uint64_t kSeeds = 64;
+  std::uint64_t delivered = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const auto small = measure(1, seed);
     const auto large = measure(32, seed);  // 32x the network size
-    EXPECT_GT(small, 0);
-    EXPECT_GT(large, 0);
+    EXPECT_EQ(small, large) << "seed " << seed;
+    if (small > 0) ++delivered;
   }
+  EXPECT_GE(delivered, 48u) << "of " << kSeeds << " seeds";
 }
 
 TEST(LbBridgedClusters, NoCrossTalkWhenSchedulerWithholdsBridge) {

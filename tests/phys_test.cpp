@@ -465,6 +465,13 @@ TEST(DualGraphChannel, PartialRangeComputeMatchesWholeRange) {
   ASSERT_GT(g.unreliable_edge_count(), 0u);
   const auto n = static_cast<graph::Vertex>(g.size());
   const std::vector<graph::Vertex> whole{0, n};
+  // Per-edge-probe staging needs transmitters that have unreliable edges
+  // to probe, so its few transmitters are drawn from these.
+  std::vector<graph::Vertex> probed;
+  for (graph::Vertex v = 0; v < n; ++v) {
+    if (!g.unreliable_incident(v).empty()) probed.push_back(v);
+  }
+  ASSERT_FALSE(probed.empty());
 
   enum class Staging { kBitmapFill, kPerEdgeProbe, kAdaptive };
   for (Staging staging :
@@ -482,7 +489,9 @@ TEST(DualGraphChannel, PartialRangeComputeMatchesWholeRange) {
         // One to three transmitters: few enough that some frontier words
         // stay empty, which compute() must not write.
         const auto k = 1 + static_cast<int>(round % 3);
-        for (int i = 0; i < k; ++i) transmitting.set(rng.below(n));
+        for (int i = 0; i < k; ++i) {
+          transmitting.set(probed[rng.below(probed.size())]);
+        }
       } else {
         for (graph::Vertex v = 0; v < n; ++v) {
           if (rng.chance(0.3)) transmitting.set(v);

@@ -4,6 +4,7 @@
 Usage: bench_diff.py BASELINE_DIR CURRENT_DIR [--metrics] [--threshold PCT]
                      [--force]
        bench_diff.py --counters-only [--allow-new] GOLDEN.json CURRENT.json
+       bench_diff.py --same-law PARENT.json CHANGE.json
 
 For every BENCH_<name>.json present in both directories (the
 bench_support.h / engine_micro_report.py shape: {"elapsed_ms", "sections"}),
@@ -40,10 +41,22 @@ file's "format" key.  Only the LOGICAL domain is compared (counters,
 gauges, histogram buckets); any "timing" section is ignored, since it is
 wall clock by definition.  --allow-new applies the same way: current-only
 variants and current-only metric names warn instead of failing.
+
+--same-law compares two counters files DISTRIBUTIONALLY, for a change
+that is meant to re-draw every random number but keep each experiment's
+law (a new generator, say): counters then differ trial by trial, and the
+question is whether their means still agree.  For every variant and
+metric present in both files it prints the parent mean, the change mean,
+the trial counts and Welch's z = (mean_c - mean_p) / sqrt(var_p/n_p +
+var_c/n_c), worst |z| last.  It exits 1 when |z| > 4 on a metric with at
+least 10 trials on each side; a metric that is constant on both sides has
+z = 0 if the constants agree and infinite |z| if not.
 """
 import argparse
 import json
+import math
 import os
+import statistics
 import sys
 
 
@@ -290,6 +303,69 @@ def diff_gating(baseline_path, current_path, allow_new=False):
     return diff_counters(baseline_path, current_path, allow_new)
 
 
+SAME_LAW_Z = 4.0
+SAME_LAW_MIN_TRIALS = 10
+
+
+def welch_z(base, cur):
+    """Welch's z for the difference of two sample means (cur - base)."""
+    mean_b, mean_c = statistics.fmean(base), statistics.fmean(cur)
+    var_b = statistics.variance(base) if len(base) > 1 else 0.0
+    var_c = statistics.variance(cur) if len(cur) > 1 else 0.0
+    se = math.sqrt(var_b / len(base) + var_c / len(cur))
+    if se == 0.0:
+        return 0.0 if mean_b == mean_c else math.copysign(math.inf,
+                                                          mean_c - mean_b)
+    return (mean_c - mean_b) / se
+
+
+def diff_same_law(parent_path, change_path):
+    """Per variant and metric, the Welch z of the per-trial means.  Returns
+    the number of metrics whose |z| exceeds SAME_LAW_Z with at least
+    SAME_LAW_MIN_TRIALS trials per side."""
+    base = load(parent_path)
+    cur = load(change_path)
+    if base is None or cur is None:
+        print("same-law diff: unreadable input", file=sys.stderr)
+        return 1
+    rows = []
+    base_variants = variants_by_name(base)
+    cur_variants = variants_by_name(cur)
+    for name in sorted(base_variants.keys() ^ cur_variants.keys()):
+        print(f"  warning: variants[{name}] is in one file only; skipped")
+    for name in sorted(base_variants.keys() & cur_variants.keys()):
+        b, c = base_variants[name], cur_variants[name]
+        c_metrics = c.get("metrics", [])
+        for m, metric in enumerate(b.get("metrics", [])):
+            if metric not in c_metrics:
+                continue
+            cm = c_metrics.index(metric)
+            b_vals = [row[m] for row in b.get("per_trial", [])]
+            c_vals = [row[cm] for row in c.get("per_trial", [])]
+            if not b_vals or not c_vals:
+                continue
+            rows.append((name, metric, statistics.fmean(b_vals),
+                         statistics.fmean(c_vals), len(b_vals), len(c_vals),
+                         welch_z(b_vals, c_vals)))
+    failures = 0
+    print(f"same-law diff: {parent_path} -> {change_path}")
+    print(f"  {'variant':<32} {'metric':<20} {'parent':>12} {'change':>12} "
+          f"{'n':>9} {'z':>7}")
+    for name, metric, mean_b, mean_c, n_b, n_c, z in sorted(
+            rows, key=lambda r: abs(r[6])):
+        gated = min(n_b, n_c) >= SAME_LAW_MIN_TRIALS
+        flag = ""
+        if abs(z) > SAME_LAW_Z:
+            flag = "  LAW CHANGED" if gated else "  (n < 10, not gated)"
+            failures += gated
+        print(f"  {name:<32} {metric:<20} {mean_b:>12.4g} {mean_c:>12.4g} "
+              f"{f'{n_b}/{n_c}':>9} {z:>7.2f}{flag}")
+    worst = max((abs(r[6]) for r in rows), default=0.0)
+    print(f"same-law diff: {len(rows)} comparisons, max |z| = {worst:.2f}: "
+          f"{'OK' if failures == 0 else f'{failures} metric(s) moved'}")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -308,7 +384,23 @@ def main():
                         help="with --counters-only: variants present only "
                              "in the current file warn instead of failing "
                              "(use while a campaign grows)")
+    parser.add_argument("--same-law", action="store_true",
+                        help="compare two campaign counters files by "
+                             "per-metric Welch z; exit 1 when |z| > 4 "
+                             "with >= 10 trials per side")
     args = parser.parse_args()
+
+    if args.same_law:
+        if args.counters_only or args.allow_new:
+            print("bench_diff: --same-law takes no other mode flag",
+                  file=sys.stderr)
+            return 2
+        for path in (args.baseline, args.current):
+            if not os.path.isfile(path):
+                print(f"same-law diff: {path} is not a file (--same-law "
+                      "takes two COUNTERS_*.json files)", file=sys.stderr)
+                return 2
+        return 1 if diff_same_law(args.baseline, args.current) else 0
 
     if args.allow_new and not args.counters_only:
         print("bench_diff: --allow-new only applies to --counters-only",
