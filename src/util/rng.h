@@ -9,14 +9,13 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 #include "util/assert.h"
 
 namespace dg {
 
 /// SplitMix64 step: maps any 64-bit value to a well-mixed 64-bit value.
-/// Used both as a stand-alone mixer and to seed mt19937_64 streams.
+/// Used both as a stand-alone mixer and as Rng's output function.
 constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -31,48 +30,67 @@ constexpr std::uint64_t derive_seed(std::uint64_t seed,
   return splitmix64(seed ^ splitmix64(stream + 0x632be59bd9b4e019ULL));
 }
 
-/// A process-local random stream.  Thin wrapper over mt19937_64 with the
-/// handful of draw shapes the algorithms need.
+/// A process-local random stream with the handful of draw shapes the
+/// algorithms need.  Counter-based: the state is a stream key and a draw
+/// counter (16 bytes, one per vertex in the engine), and draw number c is
+/// splitmix64(key ^ splitmix64(c)), so distinct keys give independent
+/// streams and a copy replays its source's draws.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(splitmix64(seed)) {}
+  explicit Rng(std::uint64_t seed) : key_(splitmix64(seed)) {}
   Rng(std::uint64_t seed, std::uint64_t stream)
-      : engine_(derive_seed(seed, stream)) {}
+      : key_(derive_seed(seed, stream)) {}
 
-  /// Bernoulli draw: true with probability p (clamped to [0,1]).
+  /// Bernoulli draw: true with probability p (clamped to [0,1]; NaN is
+  /// false).  One exact integer compare, bits() < ceil(p * 2^64), so even
+  /// p = 2^-64 keeps its probability.  p <= 0 and p >= 1 draw nothing.
   bool chance(double p) {
-    if (p <= 0.0) return false;
+    if (!(p > 0.0)) return false;
     if (p >= 1.0) return true;
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_) < p;
+    const double scaled = p * 0x1p64;  // exact, and below 2^64
+    auto threshold = static_cast<std::uint64_t>(scaled);
+    // The floor is exact as a double (it is scaled itself from 2^53 up).
+    if (static_cast<double>(threshold) < scaled) ++threshold;
+    return bits() < threshold;
   }
 
-  /// Uniform integer in [0, bound).  bound must be positive.
+  /// Uniform integer in [0, bound).  bound must be positive.  Lemire's
+  /// multiply-shift, rejecting the low products that would bias it.
   std::uint64_t below(std::uint64_t bound) {
     DG_EXPECTS(bound > 0);
-    return std::uniform_int_distribution<std::uint64_t>(0, bound - 1)(engine_);
+    Wide product = Wide{bits()} * bound;
+    if (static_cast<std::uint64_t>(product) < bound) {
+      const std::uint64_t reject = (0 - bound) % bound;  // 2^64 mod bound
+      while (static_cast<std::uint64_t>(product) < reject) {
+        product = Wide{bits()} * bound;
+      }
+    }
+    return static_cast<std::uint64_t>(product >> 64);
   }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::uint64_t between(std::uint64_t lo, std::uint64_t hi) {
     DG_EXPECTS(lo <= hi);
-    return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
+    const std::uint64_t span = hi - lo;
+    return span == UINT64_MAX ? bits() : lo + below(span + 1);
   }
 
-  /// Uniform real in [0, 1).
-  double uniform() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-  }
+  /// Uniform real in [0, 1): the top 53 bits of one draw.
+  double uniform() { return static_cast<double>(bits() >> 11) * 0x1p-53; }
 
   /// Uniform real in [lo, hi).
-  double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
-  }
+  double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
   /// Raw 64 uniform bits.
-  std::uint64_t bits() { return engine_(); }
+  std::uint64_t bits() { return splitmix64(key_ ^ splitmix64(counter_++)); }
 
  private:
-  std::mt19937_64 engine_;
+  using Wide = unsigned __int128;
+
+  std::uint64_t key_;
+  std::uint64_t counter_ = 0;
 };
+
+static_assert(sizeof(Rng) == 16);
 
 }  // namespace dg
