@@ -478,7 +478,10 @@ TEST(EngineShardProperty, RandomizedTopologySweep) {
 // Every case below was recorded from the engine's former dense dispatch
 // (every vertex stepped every round, heard words zeroed and filled in full,
 // observers fanned out inline), so the single frontier-driven block loop
-// stays pinned to it now that the dense code is gone.  A case digests the
+// stays pinned to it now that the dense code is gone.  The cases that draw
+// random numbers were re-recorded once since, when dg::Rng became
+// counter-based (no engine, stage or channel file changed; the draw-free
+// DedupMaskedDeliveryToParkedVertex kept its value).  A case digests the
 // observer stream, the process end state or the traffic + degradation
 // ledgers, and (where telemetry is installed) the logical METRICS dump;
 // each must match at every thread count.  If an intentional semantic
@@ -571,16 +574,16 @@ TEST(EngineDenseGolden, CoinHarnessAcrossTopologies) {
   // park minimums live on 64-vertex granularity.
   const Case cases[] = {
       {"grid/bernoulli", graph::grid(12, 12, 1.0, 1.5), bernoulli(0.5), 40,
-       0xA01, {5840, 0xf5149553ba16d0caULL, 0x705aea9606460dd5ULL}},
+       0xA01, {5840, 0x29ce1a5a4657daf4ULL, 0x4d47ac06d4e61e53ULL}},
       {"geometric/burst", geometric(150, 88),
        [] { return std::make_unique<BurstScheduler>(5, 0.4); }, 40, 0xA02,
-       {6080, 0x124b596249c8613fULL, 0x24a8faefe5802a1dULL}},
+       {6080, 0x6b10bec4976bea72ULL, 0x5b74f64dee86af5dULL}},
       {"odd-n n=63", geometric(63, 0xA000 + 63), bernoulli(0.4), 24,
-       0xA10 + 63, {1560, 0x8bf36a3302c2bed7ULL, 0x12ac6099e118c33bULL}},
+       0xA10 + 63, {1560, 0x7c5e4b4acb544ca3ULL, 0x43617dbde729b65eULL}},
       {"odd-n n=65", geometric(65, 0xA000 + 65), bernoulli(0.4), 24,
-       0xA10 + 65, {1608, 0x1bbfbe6cf378666ULL, 0x247269f846973b54ULL}},
+       0xA10 + 65, {1608, 0xc40cb9a94066130ULL, 0x8d8b73b0b57551fULL}},
       {"odd-n n=129", geometric(129, 0xA000 + 129), bernoulli(0.4), 24,
-       0xA10 + 129, {3144, 0xa5a50f0c36d8498bULL, 0x1429e5cf94bb51eaULL}},
+       0xA10 + 129, {3144, 0x8f14a13fc4fdc4a6ULL, 0xea5243177e15602cULL}},
   };
   for (const Case& c : cases) {
     for (std::size_t threads : kThreadCounts) {
@@ -610,7 +613,7 @@ TEST(EngineDenseGolden, SinrChannel) {
       heard.push_back(dynamic_cast<const ShardCoinProcess&>(engine.process(v))
                           .heard_hash());
     }
-    expect_golden({6336, 0x50ba7d3359738c6ULL, 0xc38ce63e572a6b2ULL},
+    expect_golden({6336, 0xef71a5bfb96d4471ULL, 0xcf5bd6bacb7ec809ULL},
                   {stream.events().size(), digest_lines(stream.events()),
                    digest_words(heard)},
                   "sinr", threads);
@@ -649,19 +652,19 @@ TEST(EngineDenseGolden, LbStackMatrix) {
   // Recorded in loop order: topology, traffic, faults off/on.
   const Golden want[] = {
       // grid: poisson, burst, hotspot x no-faults, faults
-      {1920, 0x2b68c25a73cfddeaULL, 0x8c7840a60d73b4b3ULL},
-      {1822, 0xb639ef3d82485ff3ULL, 0x7e930b11af973790ULL},
-      {1870, 0xde9d9d554ad8e925ULL, 0xaea1d51b57aa857cULL},
-      {1782, 0x8be3ba145996e860ULL, 0xb593059a1db2970aULL},
-      {1855, 0x1feee0e210bb6a46ULL, 0xf49aa991b25ed48fULL},
-      {1768, 0xee610e153deff04aULL, 0x53e8772a97dab4b2ULL},
+      {1902, 0xd3a45aeb8da6c1aeULL, 0x9074a66b36f6e0fdULL},
+      {1792, 0xfaeb287ae9f36b18ULL, 0xf7d0b55d179b7826ULL},
+      {1878, 0x36545f22dd3b1137ULL, 0xaabb28f2a755c69bULL},
+      {1781, 0xe0f75e45160a8d31ULL, 0xa7fe19987b01d3ceULL},
+      {1867, 0xb12e25e2c53d566cULL, 0xfbe992d810c8e91aULL},
+      {1770, 0xcc950a01877b5f2aULL, 0x36e1190875ed4b52ULL},
       // geometric: poisson, burst, hotspot x no-faults, faults
-      {7146, 0x37d9e91758ac9a0dULL, 0xfb5d6fc139c87601ULL},
-      {6366, 0xc500942e8e1d5b11ULL, 0x1b784fda7dab8778ULL},
-      {5809, 0xfabffc6a4a09a75cULL, 0xb22239c02c15ad53ULL},
-      {5576, 0xb0dbf50ba515d4d9ULL, 0xb56c67cb1ae60336ULL},
-      {6501, 0xb923a2e29f0490eeULL, 0x22bf35656d253cd4ULL},
-      {5846, 0x7c22148806e59e3aULL, 0xbe9986f792bde3c5ULL},
+      {6895, 0x75b6cfe6872dd197ULL, 0x23f249828ee83dccULL},
+      {6004, 0xe2b80d82d52951cbULL, 0x2e8afed5cb135666ULL},
+      {5954, 0xf95aff050b0bfbf6ULL, 0xe6da288d6af83eefULL},
+      {5321, 0x696b2fcf5849ff18ULL, 0xe1307495843eb776ULL},
+      {6278, 0x1c12781335f96d33ULL, 0x4b2125f5302914c9ULL},
+      {5668, 0xca1c81b4bffc6891ULL, 0x66e482a9f74a3b0dULL},
   };
 
   std::size_t index = 0;
@@ -727,7 +730,7 @@ TEST(EngineDenseGolden, LogicalMetrics) {
     engine.configure(golden_config(threads).with_telemetry(&registry));
     EngineTestPeer::always_shard(engine);
     engine.run_rounds(48);
-    expect_golden({0, 0x0ULL, 0x942b380c2724e682ULL},
+    expect_golden({0, 0x0ULL, 0x8fa8cd7b1dec3402ULL},
                   {0, 0, digest_text(kFnvBasis, registry.json(false))},
                   "logical metrics", threads);
   }
@@ -770,7 +773,7 @@ TEST(EngineDenseGolden, MidRunDedupInstall) {
     EXPECT_GT(registry.counter("stage.dedup.suppressed", obs::Domain::kLogical),
               0u)
         << "dedup never fired; weak fixture";
-    expect_golden({3092, 0xde81078b158c47cULL, 0xf6883b4262333a43ULL},
+    expect_golden({2990, 0xfccac47a710475b8ULL, 0x55209a603fbe6d04ULL},
                   {stream.events().size(), digest_lines(stream.events()),
                    digest_text(digest_words(lb_ledgers(sim)),
                                registry.json(/*include_timing=*/false))},
