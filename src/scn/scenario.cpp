@@ -206,36 +206,13 @@ bool parse_topology(Ctx& ctx, const json::Value& v, const std::string& path,
                                  v.kind_name());
   }
   ObjectReader r(ctx, v, path, kTopologyKeys);
-  if (!r.str("type", out.type)) return false;
-  if (kTopologyTypes.find(out.type) == kTopologyTypes.end()) {
-    return ctx.fail(v.find("type") != nullptr ? *v.find("type") : v, path,
-                    "unknown topology type '" + out.type +
-                        "' (valid: geometric, grid, clique, star, line, "
-                        "bridged, contention_star, disjoint_cliques, "
-                        "deployment)");
-  }
-  if (!r.size("n", out.n) || !r.number("side", out.side) ||
-      !r.number("r", out.r) || !r.size("cols", out.cols) ||
-      !r.size("rows", out.rows) || !r.number("spacing", out.spacing) ||
-      !r.size("k", out.k) || !r.size("cliques", out.cliques) ||
-      !r.number("p_grey_reliable", out.p_grey_reliable) ||
-      !r.number("p_grey_unreliable", out.p_grey_unreliable)) {
-    return false;
-  }
-  if (!(out.side > 0.0)) return ctx.fail(v, path, "side must be > 0");
-  if (!(out.spacing > 0.0)) return ctx.fail(v, path, "spacing must be > 0");
-  const double min_r = out.type == "bridged" ? 1.2 : 1.0;
-  if (!(out.r >= min_r)) {
-    std::ostringstream os;
-    os << "r must be >= " << min_r << " for topology '" << out.type << "'";
-    return ctx.fail(v, path, os.str());
-  }
-  for (double p : {out.p_grey_reliable, out.p_grey_unreliable}) {
-    if (!(p >= 0.0 && p <= 1.0)) {
-      return ctx.fail(v, path, "grey-zone probabilities must be in [0, 1]");
-    }
-  }
-  return r.finish();
+  return r.str("type", out.type) && r.size("n", out.n) &&
+         r.number("side", out.side) && r.number("r", out.r) &&
+         r.size("cols", out.cols) && r.size("rows", out.rows) &&
+         r.number("spacing", out.spacing) && r.size("k", out.k) &&
+         r.size("cliques", out.cliques) &&
+         r.number("p_grey_reliable", out.p_grey_reliable) &&
+         r.number("p_grey_unreliable", out.p_grey_unreliable) && r.finish();
 }
 
 bool parse_algorithm(Ctx& ctx, const json::Value& v, const std::string& path,
@@ -245,14 +222,9 @@ bool parse_algorithm(Ctx& ctx, const json::Value& v, const std::string& path,
                                  v.kind_name());
   }
   ObjectReader r(ctx, v, path, kAlgorithmKeys);
-  if (!r.str("type", out.type)) return false;
-  if (kAlgorithmTypes.find(out.type) == kAlgorithmTypes.end()) {
-    return ctx.fail(v.find("type") != nullptr ? *v.find("type") : v, path,
-                    "unknown algorithm type '" + out.type + "' (valid: " +
-                        std::string(kValidAlgorithmTypes) + ")");
-  }
   std::int64_t log_delta = out.log_delta;
-  if (!r.number("eps1", out.eps1) || !r.number("r", out.r) ||
+  if (!r.str("type", out.type) || !r.number("eps1", out.eps1) ||
+      !r.number("r", out.r) ||
       !r.number("ack_scale", out.ack_scale) ||
       !r.integer("receiver", out.receiver, -1) ||
       !r.integer("horizon_phases", out.horizon_phases, 1) ||
@@ -264,18 +236,6 @@ bool parse_algorithm(Ctx& ctx, const json::Value& v, const std::string& path,
     return false;
   }
   out.log_delta = static_cast<int>(log_delta);
-  if (!(out.eps1 > 0.0 && out.eps1 <= 0.5)) {
-    return ctx.fail(v, path, "eps1 must be in (0, 0.5]");
-  }
-  if (!(out.seed_eps > 0.0 && out.seed_eps <= 0.25)) {
-    return ctx.fail(v, path, "seed_eps must be in (0, 0.25]");
-  }
-  if (!(out.ack_scale > 0.0)) {
-    return ctx.fail(v, path, "ack_scale must be > 0");
-  }
-  if (!(out.r >= 0.0)) {
-    return ctx.fail(v, path, "r must be >= 0 (0 = derive from topology)");
-  }
   if (const json::Value* s = r.get("senders")) {
     if (s->is_string()) {
       if (s->as_string() != "all_but_receiver") {
@@ -325,50 +285,138 @@ std::size_t node_count(const TopologySpec& t) {
   return 0;
 }
 
+/// Ranges of a topology spec.  Sizes need no rule of their own: the
+/// vertex-count rule in cross_field_error() implies every generator's
+/// size precondition.
+std::string topology_error(const TopologySpec& t) {
+  if (kTopologyTypes.find(t.type) == kTopologyTypes.end()) {
+    return "unknown topology type '" + t.type +
+           "' (valid: geometric, grid, clique, star, line, bridged, "
+           "contention_star, disjoint_cliques, deployment)";
+  }
+  if (!(t.side > 0.0)) return "side must be > 0";
+  if (!(t.spacing > 0.0)) return "spacing must be > 0";
+  const double min_r = t.type == "bridged" ? 1.2 : 1.0;
+  if (!(t.r >= min_r)) {
+    std::ostringstream os;
+    os << "r must be >= " << min_r << " for topology '" << t.type << "'";
+    return os.str();
+  }
+  for (double p : {t.p_grey_reliable, t.p_grey_unreliable}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return "grey-zone probabilities must be in [0, 1]";
+    }
+  }
+  return "";
+}
+
+std::string algorithm_error(const AlgorithmSpec& a) {
+  if (kAlgorithmTypes.find(a.type) == kAlgorithmTypes.end()) {
+    return "unknown algorithm type '" + a.type + "' (valid: " +
+           std::string(kValidAlgorithmTypes) + ")";
+  }
+  if (!(a.eps1 > 0.0 && a.eps1 <= 0.5)) return "eps1 must be in (0, 0.5]";
+  if (!(a.seed_eps > 0.0 && a.seed_eps <= 0.25)) {
+    return "seed_eps must be in (0, 0.25]";
+  }
+  if (!(a.ack_scale > 0.0)) return "ack_scale must be > 0";
+  if (!(a.r >= 0.0)) return "r must be >= 0 (0 = derive from topology)";
+  return "";
+}
+
 /// Cross-field rules: workload vs topology vs channel compatibility plus
-/// vertex bound checks.  `at` anchors the error position.
-bool validate_semantics(Ctx& ctx, const json::Value& at,
-                        const std::string& path, const ScenarioSpec& spec) {
+/// vertex bound checks.
+std::string cross_field_error(const ScenarioSpec& spec) {
   const AlgorithmSpec& a = spec.algorithm;
   const std::size_t n = node_count(spec.topology);
-  if (n < 2) {
-    return ctx.fail(at, path, "topology must have at least 2 vertices");
-  }
+  if (n < 2) return "topology must have at least 2 vertices";
   if (a.type == "abstraction_fidelity") {
     if (spec.topology.type != "deployment") {
-      return ctx.fail(at, path,
-                      "algorithm 'abstraction_fidelity' requires topology "
-                      "type 'deployment' (a raw SINR embedding); got '" +
-                          spec.topology.type + "'");
+      return "algorithm 'abstraction_fidelity' requires topology type "
+             "'deployment' (a raw SINR embedding); got '" +
+             spec.topology.type + "'";
     }
     if (!spec.channel_spec.is_sinr) {
-      return ctx.fail(at, path,
-                      "algorithm 'abstraction_fidelity' requires an SINR "
-                      "channel (channel: \"sinr:alpha,beta,noise\"); got '" +
-                          spec.channel + "'");
+      return "algorithm 'abstraction_fidelity' requires an SINR channel "
+             "(channel: \"sinr:alpha,beta,noise\"); got '" +
+             spec.channel + "'";
     }
   } else if (spec.topology.type == "deployment") {
-    return ctx.fail(at, path,
-                    "topology 'deployment' is only valid with algorithm "
-                    "'abstraction_fidelity' (other workloads need a dual "
-                    "graph; use 'geometric' instead)");
+    return "topology 'deployment' is only valid with algorithm "
+           "'abstraction_fidelity' (other workloads need a dual graph; use "
+           "'geometric' instead)";
   } else if (spec.channel_spec.is_sinr) {
     if (a.type == "decay_progress" || a.type == "seed_then_progress") {
-      return ctx.fail(at, path,
-                      "algorithm '" + a.type +
-                          "' supports only the dual_graph channel");
+      return "algorithm '" + a.type +
+             "' supports only the dual_graph channel";
     }
     if (kEmbeddedTopologies.find(spec.topology.type) ==
         kEmbeddedTopologies.end()) {
-      return ctx.fail(at, path,
-                      "channel 'sinr' needs an embedded topology "
-                      "(geometric, grid, star, line, bridged); got '" +
-                          spec.topology.type + "'");
+      return "channel 'sinr' needs an embedded topology (geometric, grid, "
+             "star, line, bridged); got '" +
+             spec.topology.type + "'";
     }
   }
-  const bool uses_traffic =
-      a.type == "traffic_latency" || a.type == "lb_churn";
-  if (uses_traffic) {
+  if (!spec.faults.empty()) {
+    const fault::FaultSpec& f = spec.fault_spec;
+    const bool names_vertex = f.kind == fault::FaultSpec::Kind::kCrash ||
+                              f.kind == fault::FaultSpec::Kind::kRegion;
+    if (names_vertex && f.vertex >= n) {
+      std::ostringstream os;
+      os << "faults '" << spec.faults << "' names vertex " << f.vertex
+         << ", but the topology has only " << n << " vertices";
+      return os.str();
+    }
+    if (f.kind == fault::FaultSpec::Kind::kAdversary &&
+        static_cast<std::size_t>(f.k) > n) {
+      std::ostringstream os;
+      os << "faults '" << spec.faults << "' crashes " << f.k
+         << " vertices per period, but the topology has only " << n
+         << " vertices";
+      return os.str();
+    }
+  }
+  if (!spec.traffic.empty()) {
+    const traffic::TrafficSpec& t = spec.traffic_spec;
+    const bool counted = t.kind == traffic::TrafficSpec::Kind::kSaturate ||
+                         t.kind == traffic::TrafficSpec::Kind::kBurst;
+    if (counted && t.count > n) {
+      std::ostringstream os;
+      os << "traffic '" << spec.traffic << "' names " << t.count
+         << " sender(s), but the topology has only " << n << " vertices";
+      return os.str();
+    }
+    if (t.kind == traffic::TrafficSpec::Kind::kHotspot && t.hot >= n) {
+      std::ostringstream os;
+      os << "traffic hot vertex " << t.hot << " out of range (topology has "
+         << n << " vertices)";
+      return os.str();
+    }
+  }
+  if (a.receiver >= static_cast<std::int64_t>(n)) {
+    std::ostringstream os;
+    os << "receiver " << a.receiver << " out of range (topology has " << n
+       << " vertices)";
+    return os.str();
+  }
+  for (graph::Vertex s : a.senders) {
+    if (s >= n) {
+      std::ostringstream os;
+      os << "sender " << s << " out of range (topology has " << n
+         << " vertices)";
+      return os.str();
+    }
+  }
+  return "";
+}
+
+/// The campaign's key-consumption rules: "traffic", "faults" and
+/// "queue_cap" belong only on the workloads that read them, so a sweep on
+/// the wrong workload fails instead of producing identical counters.
+bool check_consumption(Ctx& ctx, const json::Value& at,
+                       const std::string& path, const ScenarioSpec& spec) {
+  const AlgorithmSpec& a = spec.algorithm;
+  if (a.type == "traffic_latency" || a.type == "lb_churn") {
     if (spec.traffic.empty()) {
       return ctx.fail(at, path,
                       "algorithm '" + a.type +
@@ -383,9 +431,6 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
                         "workload kinds: " +
                         std::string(kValidAlgorithmTypes) + ")");
   } else if (a.queue_cap != 0) {
-    // Same no-silent-ignore rule as the traffic key: a queue_cap sweep on
-    // the wrong workload would otherwise produce identical counters with
-    // no diagnostic.
     return ctx.fail(at, path,
                     "key \"queue_cap\" is only consumed by algorithm "
                     "'traffic_latency' or 'lb_churn'; algorithm '" +
@@ -408,99 +453,34 @@ bool validate_semantics(Ctx& ctx, const json::Value& at,
                         "kinds: " +
                         std::string(kValidAlgorithmTypes) + ")");
   }
-  if (!spec.faults.empty()) {
-    const fault::FaultSpec& f = spec.fault_spec;
-    const bool names_vertex = f.kind == fault::FaultSpec::Kind::kCrash ||
-                              f.kind == fault::FaultSpec::Kind::kRegion;
-    if (names_vertex && f.vertex >= n) {
-      std::ostringstream os;
-      os << "faults '" << spec.faults << "' names vertex " << f.vertex
-         << ", but the topology has only " << n << " vertices";
-      return ctx.fail(at, path, os.str());
-    }
-    if (f.kind == fault::FaultSpec::Kind::kAdversary &&
-        static_cast<std::size_t>(f.k) > n) {
-      std::ostringstream os;
-      os << "faults '" << spec.faults << "' crashes " << f.k
-         << " vertices per period, but the topology has only " << n
-         << " vertices";
-      return ctx.fail(at, path, os.str());
-    }
-  }
-  if (!spec.traffic.empty()) {
-    const traffic::TrafficSpec& t = spec.traffic_spec;
-    const bool counted = t.kind == traffic::TrafficSpec::Kind::kSaturate ||
-                         t.kind == traffic::TrafficSpec::Kind::kBurst;
-    if (counted && t.count > n) {
-      std::ostringstream os;
-      os << "traffic '" << spec.traffic << "' names " << t.count
-         << " sender(s), but the topology has only " << n << " vertices";
-      return ctx.fail(at, path, os.str());
-    }
-    if (t.kind == traffic::TrafficSpec::Kind::kHotspot && t.hot >= n) {
-      std::ostringstream os;
-      os << "traffic hot vertex " << t.hot << " out of range (topology has "
-         << n << " vertices)";
-      return ctx.fail(at, path, os.str());
-    }
-  }
-  if (a.receiver >= static_cast<std::int64_t>(n)) {
-    std::ostringstream os;
-    os << "receiver " << a.receiver << " out of range (topology has " << n
-       << " vertices)";
-    return ctx.fail(at, path, os.str());
-  }
-  for (graph::Vertex s : a.senders) {
-    if (s >= n) {
-      std::ostringstream os;
-      os << "sender " << s << " out of range (topology has " << n
-         << " vertices)";
-      return ctx.fail(at, path, os.str());
-    }
-  }
   return true;
 }
 
-/// Parses one *concrete* (matrix-expanded) scenario object.
+/// Reports a validate_scenario() failure at its field's JSON node (the
+/// scenario object for a cross-field rule), so it carries the same
+/// file:line:col: path: prefix as every other schema error.
+bool fail_at_field(Ctx& ctx, const json::Value& v, const std::string& path,
+                   const ScenarioError& err) {
+  if (err.field.empty()) return ctx.fail(v, path, err.message);
+  const std::size_t bracket = err.field.find('[');
+  const json::Value* at = v.find(err.field.substr(0, bracket));
+  if (at != nullptr && bracket != std::string::npos) {
+    const std::size_t i = std::strtoull(err.field.c_str() + bracket + 1,
+                                        nullptr, 10);
+    if (i < at->items().size()) at = &at->items()[i];
+  }
+  return ctx.fail(at != nullptr ? *at : v, path + "." + err.field,
+                  err.message);
+}
+
+/// Parses one *concrete* (matrix-expanded) scenario object: the JSON
+/// reading here, every value rule in validate_scenario().
 bool parse_scenario(Ctx& ctx, const json::Value& v, const std::string& path,
                     ScenarioSpec& out) {
   ObjectReader r(ctx, v, path, kScenarioKeys);
-  if (!r.str("scheduler", out.scheduler) ||
-      !r.str("channel", out.channel)) {
+  if (!r.str("scheduler", out.scheduler) || !r.str("channel", out.channel) ||
+      !r.str("traffic", out.traffic) || !r.str("faults", out.faults)) {
     return false;
-  }
-  {
-    const std::string err = validate_scheduler_spec(out.scheduler);
-    if (!err.empty()) {
-      const json::Value* at = v.find("scheduler");
-      return ctx.fail(at != nullptr ? *at : v, path + ".scheduler", err);
-    }
-  }
-  {
-    const std::string err =
-        phys::parse_channel_spec(out.channel, out.channel_spec);
-    if (!err.empty()) {
-      const json::Value* at = v.find("channel");
-      return ctx.fail(at != nullptr ? *at : v, path + ".channel", err);
-    }
-  }
-  if (!r.str("traffic", out.traffic)) return false;
-  if (!out.traffic.empty()) {
-    const std::string err =
-        traffic::parse_traffic_spec(out.traffic, out.traffic_spec);
-    if (!err.empty()) {
-      const json::Value* at = v.find("traffic");
-      return ctx.fail(at != nullptr ? *at : v, path + ".traffic", err);
-    }
-  }
-  if (!r.str("faults", out.faults)) return false;
-  if (!out.faults.empty()) {
-    const std::string err =
-        fault::parse_fault_spec(out.faults, out.fault_spec);
-    if (!err.empty()) {
-      const json::Value* at = v.find("faults");
-      return ctx.fail(at != nullptr ? *at : v, path + ".faults", err);
-    }
   }
   if (const json::Value* t = r.get("topology")) {
     if (!parse_topology(ctx, *t, path + ".topology", out.topology)) {
@@ -527,31 +507,20 @@ bool parse_scenario(Ctx& ctx, const json::Value& v, const std::string& path,
       return r.wrong_kind(*st, "stages", "an array of stage spec strings");
     }
     out.stages.clear();
-    std::vector<sim::SpliceSpec> specs;
     for (std::size_t i = 0; i < st->items().size(); ++i) {
       const json::Value& item = st->items()[i];
-      const std::string item_path =
-          path + ".stages[" + std::to_string(i) + "]";
       if (!item.is_string()) {
-        return ctx.fail(item, item_path,
+        return ctx.fail(item, path + ".stages[" + std::to_string(i) + "]",
                         std::string("stage spec must be a string; got ") +
                             item.kind_name());
       }
-      sim::SpliceSpec spec;
-      std::string err;
-      if (!sim::parse_splice_spec(item.as_string(), spec, err)) {
-        return ctx.fail(item, item_path, err);
-      }
-      specs.push_back(std::move(spec));
       out.stages.push_back(item.as_string());
-    }
-    const std::string err = sim::validate_splice_specs(specs);
-    if (!err.empty()) {
-      return ctx.fail(*st, path + ".stages", err);
     }
   }
   if (!r.finish()) return false;
-  return validate_semantics(ctx, v, path, out);
+  const ScenarioError err = validate_scenario(out);
+  if (!err.ok()) return fail_at_field(ctx, v, path, err);
+  return check_consumption(ctx, v, path, out);
 }
 
 struct AxisEntry {
@@ -627,6 +596,41 @@ bool parse_matrix(Ctx& ctx, const json::Value& m, const std::string& path,
 }
 
 }  // namespace
+
+ScenarioError validate_scenario(ScenarioSpec& spec) {
+  std::string err = topology_error(spec.topology);
+  if (!err.empty()) return {"topology", std::move(err)};
+  if (err = algorithm_error(spec.algorithm); !err.empty()) {
+    return {"algorithm", std::move(err)};
+  }
+  if (err = validate_scheduler_spec(spec.scheduler); !err.empty()) {
+    return {"scheduler", std::move(err)};
+  }
+  if (err = phys::parse_channel_spec(spec.channel, spec.channel_spec);
+      !err.empty()) {
+    return {"channel", std::move(err)};
+  }
+  if (!spec.traffic.empty()) {
+    err = traffic::parse_traffic_spec(spec.traffic, spec.traffic_spec);
+    if (!err.empty()) return {"traffic", std::move(err)};
+  }
+  if (!spec.faults.empty()) {
+    err = fault::parse_fault_spec(spec.faults, spec.fault_spec);
+    if (!err.empty()) return {"faults", std::move(err)};
+  }
+  if (!spec.stages.empty()) {
+    std::vector<sim::SpliceSpec> splices(spec.stages.size());
+    for (std::size_t i = 0; i < spec.stages.size(); ++i) {
+      if (!sim::parse_splice_spec(spec.stages[i], splices[i], err)) {
+        return {"stages[" + std::to_string(i) + "]", std::move(err)};
+      }
+    }
+    if (err = sim::validate_splice_specs(splices); !err.empty()) {
+      return {"stages", std::move(err)};
+    }
+  }
+  return {"", cross_field_error(spec)};
+}
 
 std::string validate_scheduler_spec(const std::string& spec) {
   const auto parts = split(spec, ':');

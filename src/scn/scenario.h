@@ -169,6 +169,26 @@ CampaignParse parse_campaign_text(const std::string& text,
 /// Reads the file and delegates to parse_campaign_text.
 CampaignParse parse_campaign_file(const std::string& path);
 
+/// A validate_scenario() failure.  `field` is the failing field's path
+/// relative to the scenario ("topology", "algorithm", "scheduler",
+/// "channel", "traffic", "faults", "stages[i]", "stages"), or empty for a
+/// cross-field rule.  An empty `message` means the spec is valid.
+struct ScenarioError {
+  std::string field;
+  std::string message;
+  bool ok() const noexcept { return message.empty(); }
+};
+
+/// The one validator for a concrete scenario, shared by the campaign
+/// parser and dglab: topology and algorithm ranges; the scheduler,
+/// channel, traffic, fault and stage specs (filling channel_spec,
+/// traffic_spec and fault_spec); the channel/topology/deployment
+/// compatibility rules; and the vertex bounds.  A spec that passes builds
+/// and runs without tripping a library precondition.  Which workload may
+/// carry traffic, faults or queue_cap is a campaign rule, checked by
+/// parse_campaign_text.
+ScenarioError validate_scenario(ScenarioSpec& spec);
+
 /// Validates a scheduler spec: bernoulli:p | full-g | full-gprime |
 /// flicker:period:duty | burst:epoch,p | anti[:log_delta[:pivot]].
 /// Returns "" or a message naming the offending token.

@@ -44,33 +44,6 @@ graph::Vertex resolve_receiver(const AlgorithmSpec& a,
   return neighbors.empty() ? 1 : neighbors.front();
 }
 
-lb::LbParams lb_params_for(const AlgorithmSpec& a,
-                           const graph::DualGraph& g) {
-  lb::LbScales scales;
-  scales.ack_scale = a.ack_scale;
-  const double r = a.r > 0 ? a.r : std::max(1.0, g.r());
-  return lb::LbParams::calibrated(a.eps1, r, g.delta(), g.delta_prime(),
-                                  scales);
-}
-
-/// The variant's EngineConfig: thread cap, per-trial telemetry, and its
-/// spliced stages.  Stage specs were parsed and conflict-validated at
-/// campaign load time, so a parse failure here is a programming error.
-sim::EngineConfig engine_config_for(const ScenarioSpec& spec,
-                                    obs::Registry* registry) {
-  sim::EngineConfig config;
-  if (spec.round_threads != 0) config.with_round_threads(spec.round_threads);
-  if (registry != nullptr) config.with_telemetry(registry);
-  for (const std::string& text : spec.stages) {
-    sim::SpliceSpec splice;
-    std::string err;
-    const bool ok = sim::parse_splice_spec(text, splice, err);
-    DG_EXPECTS(ok);
-    config.with_splice(std::move(splice));
-  }
-  return config;
-}
-
 // ---- lb_progress (the E3/E6 trial body) ----
 
 std::vector<double> run_lb_progress(const ScenarioSpec& spec,
@@ -132,41 +105,6 @@ std::vector<double> run_decay_progress(const ScenarioSpec& spec,
 }
 
 // ---- seed_agreement (one SeedAlg execution + spec check) ----
-
-seed::SeedSpecResult run_seed_check(const ScenarioSpec& spec,
-                                    const graph::DualGraph& g,
-                                    std::uint64_t seed,
-                                    obs::Registry* registry) {
-  const auto sparams =
-      seed::SeedAlgParams::make(spec.algorithm.seed_eps, g.delta());
-  const auto ids = sim::assign_ids(g.size(), derive_seed(seed, 1));
-  std::vector<std::unique_ptr<sim::Process>> procs;
-  Rng init(derive_seed(seed, 2));
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    procs.push_back(
-        std::make_unique<seed::SeedProcess>(sparams, ids[v], init));
-  }
-  std::unique_ptr<sim::Engine> engine;
-  std::unique_ptr<sim::LinkScheduler> sched;
-  std::unique_ptr<phys::ChannelModel> channel;
-  if (spec.channel_spec.is_sinr) {
-    channel = std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr);
-    engine = std::make_unique<sim::Engine>(g, *channel, std::move(procs),
-                                           derive_seed(seed, 3));
-  } else {
-    sched = build_scheduler(spec.scheduler);
-    engine = std::make_unique<sim::Engine>(g, *sched, std::move(procs),
-                                           derive_seed(seed, 3));
-  }
-  engine->configure(engine_config_for(spec, registry));
-  engine->run_rounds(sparams.total_rounds());
-  seed::DecisionVector decisions(g.size());
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    decisions[v] =
-        dynamic_cast<const seed::SeedProcess&>(engine->process(v)).decision();
-  }
-  return seed::check_seed_spec(g, ids, decisions);
-}
 
 std::vector<double> run_seed_agreement(const ScenarioSpec& spec,
                                        std::uint64_t seed,
@@ -268,15 +206,7 @@ std::vector<double> run_traffic_latency(const ScenarioSpec& spec,
   Rng rng(seed);
   const auto g = build_topology(spec.topology, rng);
   const auto params = lb_params_for(spec.algorithm, g);
-  std::unique_ptr<lb::LbSimulation> sim;
-  if (spec.channel_spec.is_sinr) {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr),
-        params, seed);
-  } else {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, build_scheduler(spec.scheduler), params, seed);
-  }
+  const auto sim = make_lb_simulation(spec, g, params, seed);
   sim->configure(engine_config_for(spec, registry));
   sim->traffic().set_queue_capacity(
       static_cast<std::size_t>(spec.algorithm.queue_cap));
@@ -315,15 +245,7 @@ std::vector<double> run_lb_churn(const ScenarioSpec& spec,
   Rng rng(seed);
   const auto g = build_topology(spec.topology, rng);
   const auto params = lb_params_for(spec.algorithm, g);
-  std::unique_ptr<lb::LbSimulation> sim;
-  if (spec.channel_spec.is_sinr) {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr),
-        params, seed);
-  } else {
-    sim = std::make_unique<lb::LbSimulation>(
-        g, build_scheduler(spec.scheduler), params, seed);
-  }
+  const auto sim = make_lb_simulation(spec, g, params, seed);
   const auto plan = fault::build_fault_plan(spec.fault_spec);
   sim->configure(engine_config_for(spec, registry).with_fault_plan(plan.get()));
   sim->traffic().set_queue_capacity(
@@ -365,6 +287,79 @@ std::vector<double> run_lb_churn(const ScenarioSpec& spec,
 }
 
 }  // namespace
+
+lb::LbParams lb_params_for(const AlgorithmSpec& a,
+                           const graph::DualGraph& g) {
+  lb::LbScales scales;
+  scales.ack_scale = a.ack_scale;
+  const double r = a.r > 0 ? a.r : std::max(1.0, g.r());
+  return lb::LbParams::calibrated(a.eps1, r, g.delta(), g.delta_prime(),
+                                  scales);
+}
+
+sim::EngineConfig engine_config_for(const ScenarioSpec& spec,
+                                    obs::Registry* registry) {
+  sim::EngineConfig config;
+  if (spec.round_threads != 0) config.with_round_threads(spec.round_threads);
+  if (registry != nullptr) config.with_telemetry(registry);
+  for (const std::string& text : spec.stages) {
+    sim::SpliceSpec splice;
+    std::string err;
+    const bool ok = sim::parse_splice_spec(text, splice, err);
+    DG_EXPECTS(ok);
+    config.with_splice(std::move(splice));
+  }
+  return config;
+}
+
+std::unique_ptr<lb::LbSimulation> make_lb_simulation(
+    const ScenarioSpec& spec, const graph::DualGraph& g,
+    const lb::LbParams& params, std::uint64_t seed) {
+  if (spec.channel_spec.is_sinr) {
+    return std::make_unique<lb::LbSimulation>(
+        g, std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr),
+        params, seed);
+  }
+  return std::make_unique<lb::LbSimulation>(
+      g, build_scheduler(spec.scheduler), params, seed);
+}
+
+seed::SeedSpecResult run_seed_check(const ScenarioSpec& spec,
+                                    const graph::DualGraph& g,
+                                    std::uint64_t seed,
+                                    obs::Registry* registry,
+                                    std::string* channel_name) {
+  const auto sparams =
+      seed::SeedAlgParams::make(spec.algorithm.seed_eps, g.delta());
+  const auto ids = sim::assign_ids(g.size(), derive_seed(seed, 1));
+  std::vector<std::unique_ptr<sim::Process>> procs;
+  Rng init(derive_seed(seed, 2));
+  for (graph::Vertex v = 0; v < g.size(); ++v) {
+    procs.push_back(
+        std::make_unique<seed::SeedProcess>(sparams, ids[v], init));
+  }
+  std::unique_ptr<sim::Engine> engine;
+  std::unique_ptr<sim::LinkScheduler> sched;
+  std::unique_ptr<phys::ChannelModel> channel;
+  if (spec.channel_spec.is_sinr) {
+    channel = std::make_unique<phys::SinrChannel>(spec.channel_spec.sinr);
+    engine = std::make_unique<sim::Engine>(g, *channel, std::move(procs),
+                                           derive_seed(seed, 3));
+  } else {
+    sched = build_scheduler(spec.scheduler);
+    engine = std::make_unique<sim::Engine>(g, *sched, std::move(procs),
+                                           derive_seed(seed, 3));
+  }
+  if (channel_name != nullptr) *channel_name = engine->channel().name();
+  engine->configure(engine_config_for(spec, registry));
+  engine->run_rounds(sparams.total_rounds());
+  seed::DecisionVector decisions(g.size());
+  for (graph::Vertex v = 0; v < g.size(); ++v) {
+    decisions[v] =
+        dynamic_cast<const seed::SeedProcess&>(engine->process(v)).decision();
+  }
+  return seed::check_seed_spec(g, ids, decisions);
+}
 
 std::vector<std::string> metric_names(const ScenarioSpec& spec) {
   const std::string& t = spec.algorithm.type;

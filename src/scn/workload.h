@@ -11,11 +11,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "lb/params.h"
+#include "lb/simulation.h"
 #include "obs/registry.h"
 #include "scn/scenario.h"
+#include "seed/spec.h"
+#include "sim/engine_config.h"
 
 namespace dg::scn {
 
@@ -52,5 +57,34 @@ std::vector<std::string> metric_names(const ScenarioSpec& spec);
 std::vector<double> run_trial(const ScenarioSpec& spec,
                               std::uint64_t trial_seed,
                               obs::Registry* registry = nullptr);
+
+// ---- the builders the workloads share with dglab ----
+
+/// LBAlg parameters calibrated on `g`; algorithm.r = 0 means
+/// max(1.0, g.r()).
+lb::LbParams lb_params_for(const AlgorithmSpec& a, const graph::DualGraph& g);
+
+/// The variant's EngineConfig: thread cap, telemetry into `registry` when
+/// non-null, and its spliced stages.  The stage specs must have passed
+/// validate_scenario(), so a parse failure here is a programming error.
+sim::EngineConfig engine_config_for(const ScenarioSpec& spec,
+                                    obs::Registry* registry);
+
+/// The variant's LB simulation over `g`: SINR reception when its channel
+/// is sinr, the dual-graph channel under its scheduler otherwise.  The one
+/// place that picks between LbSimulation's channel and scheduler
+/// constructors.  The caller applies engine_config_for().
+std::unique_ptr<lb::LbSimulation> make_lb_simulation(
+    const ScenarioSpec& spec, const graph::DualGraph& g,
+    const lb::LbParams& params, std::uint64_t seed);
+
+/// One SeedAlg execution on `g` (ids, process coins and engine on streams
+/// 1, 2 and 3 of `seed`) checked against the seed spec.  When
+/// `channel_name` is non-null it receives the engine's channel name.
+seed::SeedSpecResult run_seed_check(const ScenarioSpec& spec,
+                                    const graph::DualGraph& g,
+                                    std::uint64_t seed,
+                                    obs::Registry* registry,
+                                    std::string* channel_name = nullptr);
 
 }  // namespace dg::scn

@@ -48,6 +48,22 @@ for flag in --n=0 --eps=0 --eps=2 --r=0.5 --phases=-1; do
     "$dglab" run --type=geometric --n=16 --phases=1 "$flag"
 done
 
+# Values the scenario validator rejects (these used to abort on a library
+# precondition), and non-numbers that strtod/strtoull used to read as 0.
+for flags in "--side=0" "--side=-1" "--type=grid --cols=0" \
+             "--type=grid --spacing=0" "--type=clique --k=0" \
+             "--type=star --k=0" "--ack-scale=0" "--ack-scale=-1" \
+             "--reuse=0" "--seed=abc" "--senders=abc" \
+             "--type=clique --k=4 --channel=sinr:3,1,0.01"; do
+  # shellcheck disable=SC2086  # $flags holds several words on purpose
+  expect_exit2 "dglab run $flags" "$dglab" run --phases=1 $flags
+done
+for flag in --deltas=0 --deltas=abc; do
+  expect_exit2 "dglab sweep $flag" "$dglab" sweep --phases=1 "$flag"
+done
+# A topology needs at least two vertices.
+expect_exit2 "dglab net --n=1" "$dglab" net --n=1
+
 # --trace is a wire-tail length in [1, 65536]; -1 used to wrap to 2^64-1
 # and keep every event, abc and 0 used to become a one-event tail.
 for flag in --trace=abc --trace=0 --trace=-1 --trace=65537 --trace=; do

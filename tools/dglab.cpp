@@ -5,8 +5,12 @@
 //   dglab run   [topology flags] [run flags]      run LBAlg + spec report
 //   dglab sweep [--deltas=4,8,16,32] [run flags]  progress/delivery sweep
 //
+// The topology, run and environment flags are sugar for the keys of one
+// scn::ScenarioSpec (scn/scenario.h); dglab fills the spec, runs the
+// scenario validator, and builds everything with the shared scn builders.
 // Topology flags:
-//   --type=geometric|grid|clique|star|line   (default geometric)
+//   --type=geometric|grid|clique|star|line   (default geometric; also the
+//           schema's bridged|contention_star|disjoint_cliques)
 //   --n=64 --side=4.0 --r=1.5                (geometric)
 //   --cols=6 --rows=4 --spacing=1.0          (grid)
 //   --k=16                                   (clique size / star leaves / line length)
@@ -57,39 +61,34 @@
 //   grid:32x32 | geometric:256 | clique:16 | star:16 | line:16
 //
 // Unknown --flags are rejected (a typo like --schd= must not silently run
-// the default configuration), and so are out-of-range numbers: --n >= 1,
-// 0 < --eps <= 0.5, --r >= 1 and --phases >= 0, as in the scenario schema.
+// the default configuration); value ranges are scn::validate_scenario()'s.
 // When the first argument is a --flag the `run` subcommand is implied:
 // `dglab --topology=grid:8x8 --phases=10`.
 //
 // Example:
 //   dglab run --type=geometric --n=48 --sched=bernoulli:0.5 --phases=40
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
-
-#include <fstream>
 
 #include "fault/spec.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
 #include "obs/registry.h"
 #include "obs/trace_sink.h"
-#include "phys/channel_spec.h"
-#include "phys/sinr.h"
 #include "scn/scenario.h"
+#include "scn/workload.h"
 #include "seed/seed_alg.h"
-#include "seed/spec.h"
-#include "sim/engine.h"
-#include "sim/scheduler.h"
+#include "traffic/source.h"
 #include "traffic/spec.h"
 #include "util/specparse.h"
 #include "util/table.h"
@@ -156,15 +155,6 @@ class Flags {
     const auto it = values_.find(key);
     return it == values_.end() ? dflt : it->second;
   }
-  double num(const std::string& key, double dflt) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
-  }
-  std::uint64_t uint(const std::string& key, std::uint64_t dflt) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? dflt
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
   bool flag(const std::string& key) const { return values_.contains(key); }
 
  private:
@@ -174,52 +164,21 @@ class Flags {
 
 using dg::spec::split;
 
-/// Parses --round-threads through the shared scn validator (the same
-/// grammar dgcampaign enforces), exiting with a message on 0, negatives,
-/// or trailing junk.  Returns 0 when the flag is absent (engine default,
-/// i.e. DG_ROUND_THREADS or serial).
-std::size_t round_threads_flag(const Flags& flags) {
-  if (!flags.flag("round-threads")) return 0;
-  std::size_t parsed = 0;
-  const std::string err =
-      scn::validate_round_threads_value(flags.str("round-threads", ""), parsed);
-  if (!err.empty()) {
-    std::cerr << "dglab: --" << err << "\n";
-    std::exit(2);
-  }
-  return parsed;
+/// Prints "dglab: <message>" and exits 2: every bad input ends here.
+[[noreturn]] void fail(const std::string& message) {
+  std::cerr << "dglab: " << message << "\n";
+  std::exit(2);
 }
 
-/// Builds the engine config shared by the run/sweep/seed subcommands:
-/// the --round-threads cap plus the --splice stage, both validated here
-/// so a typo like --splice=dedupe exits 2 with the valid grammar instead
-/// of a contract abort inside the engine.
-sim::EngineConfig engine_config_flags(const Flags& flags) {
-  sim::EngineConfig config;
-  const std::size_t round_threads = round_threads_flag(flags);
-  if (round_threads != 0) config.with_round_threads(round_threads);
-  if (flags.flag("splice")) {
-    sim::SpliceSpec spec;
-    std::string err;
-    if (!sim::parse_splice_spec(flags.str("splice", ""), spec, err)) {
-      std::cerr << "dglab: --splice: " << err << "\n";
-      std::exit(2);
-    }
-    config.with_splice(std::move(spec));
-  }
-  return config;
-}
-
-// ---- builders ----
-
-/// Strict non-negative integer parse for compound specs (strtoull would
-/// silently wrap "-1" and accept trailing junk).
+/// Strict non-negative integer parse (strtoull alone would silently wrap
+/// "-1", read "abc" as 0, accept trailing junk and saturate on overflow).
 bool parse_uint(const std::string& s, std::uint64_t& out) {
   if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
     return false;
   }
+  errno = 0;
   out = std::strtoull(s.c_str(), nullptr, 10);
-  return true;
+  return errno != ERANGE;
 }
 
 /// Strict finite-number parse for numeric flags (strtod alone would read
@@ -231,146 +190,111 @@ bool parse_number(const std::string& s, double& out) {
   return end == s.c_str() + s.size() && std::isfinite(out);
 }
 
-/// Range-checks the numeric flags the library contract-checks, against the
-/// bounds the scenario schema (scn/scenario.cpp) enforces for the same
-/// keys: n >= 1, eps1 in (0, 0.5], r >= 1, and a non-negative phase count.
-/// A bad value exits 2 naming the flag instead of aborting inside a
-/// generator, LbParams or the run loop.
-void check_numeric_flags(const Flags& flags) {
-  const auto reject = [&](const char* flag, const std::string& rule) {
-    std::cerr << "dglab: --" << flag << ": " << rule << "; got '"
-              << flags.str(flag, "") << "'\n";
-    std::exit(2);
-  };
-  std::uint64_t count = 0;
+/// --key as an integer in [lo, hi], or `dflt` when the flag is absent.
+std::uint64_t uint_flag(
+    const Flags& flags, const char* key, std::uint64_t dflt,
+    std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  if (!flags.flag(key)) return dflt;
+  const std::string s = flags.str(key, "");
+  std::uint64_t v = 0;
+  if (!parse_uint(s, v) || v < lo || v > hi) {
+    fail("--" + std::string(key) + " needs an integer in [" +
+         std::to_string(lo) + ", " + std::to_string(hi) + "]; got '" + s +
+         "'");
+  }
+  return v;
+}
+
+/// --key as a finite number, or `dflt` when the flag is absent.  Its range
+/// is the scenario validator's to check.
+double number_flag(const Flags& flags, const char* key, double dflt) {
+  if (!flags.flag(key)) return dflt;
+  const std::string s = flags.str(key, "");
   double x = 0.0;
-  if (flags.flag("n") &&
-      (!parse_uint(flags.str("n", ""), count) || count == 0)) {
-    reject("n", "n must be an integer >= 1");
+  if (!parse_number(s, x)) {
+    fail("--" + std::string(key) + " needs a number; got '" + s + "'");
   }
-  if (flags.flag("eps") &&
-      !(parse_number(flags.str("eps", ""), x) && x > 0.0 && x <= 0.5)) {
-    reject("eps", "eps1 must be in (0, 0.5]");
-  }
-  if (flags.flag("r") && !(parse_number(flags.str("r", ""), x) && x >= 1.0)) {
-    reject("r", "r must be >= 1");
-  }
-  if (flags.flag("phases") && !parse_uint(flags.str("phases", ""), count)) {
-    reject("phases", "phases must be an integer >= 0");
-  }
+  return x;
 }
 
-/// Expands the --topology=family:args alias (grid:32x32, geometric:256,
-/// clique:16, star:16, line:16) directly into a network.  Geometry knobs
-/// (--side, --spacing, --r) still apply; the alias only fixes the family
-/// and its size.
-graph::DualGraph build_network_alias(const Flags& flags, Rng& rng) {
-  const std::string spec = flags.str("topology", "");
-  const auto colon = spec.find(':');
-  const std::string fam = spec.substr(0, colon);
+/// Expands --topology=family:args (grid:32x32, geometric:256, clique:16,
+/// star:16, line:16) into the topology's family and size.  The geometry
+/// flags (--side, --spacing, --r) still apply.
+void apply_topology_alias(const std::string& alias, scn::TopologySpec& t) {
+  const auto colon = alias.find(':');
+  const std::string fam = alias.substr(0, colon);
   const std::string args =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  const double r = flags.num("r", 1.5);
-  const auto bad = [&]() -> graph::DualGraph {
-    std::cerr << "dglab: --topology: malformed spec '" << spec
-              << "' (valid: grid:COLSxROWS, geometric:N, clique:K, "
-                 "star:K, line:K)\n";
-    std::exit(2);
-  };
-  if (fam == "grid") {
-    const auto x = args.find('x');
-    std::uint64_t cols = 0, rows = 0;
-    if (x == std::string::npos || !parse_uint(args.substr(0, x), cols) ||
-        !parse_uint(args.substr(x + 1), rows) || cols == 0 || rows == 0) {
-      return bad();
-    }
-    return graph::grid(static_cast<std::size_t>(cols),
-                       static_cast<std::size_t>(rows),
-                       flags.num("spacing", 1.0), r);
+      colon == std::string::npos ? "" : alias.substr(colon + 1);
+  const auto x = args.find('x');
+  std::uint64_t a = 0, b = 0;
+  if (fam == "grid" && x != std::string::npos &&
+      parse_uint(args.substr(0, x), a) && parse_uint(args.substr(x + 1), b)) {
+    t.cols = a;
+    t.rows = b;
+  } else if ((fam == "geometric" || fam == "clique" || fam == "star" ||
+              fam == "line") &&
+             parse_uint(args, a)) {
+    (fam == "geometric" ? t.n : t.k) = a;
+  } else {
+    fail("--topology: malformed spec '" + alias +
+         "' (valid: grid:COLSxROWS, geometric:N, clique:K, star:K, "
+         "line:K)");
   }
-  std::uint64_t k = 0;
-  if (!parse_uint(args, k) || k == 0) return bad();
-  if (fam == "geometric") {
-    graph::GeometricSpec gspec;
-    gspec.n = static_cast<std::size_t>(k);
-    gspec.side = flags.num("side", 4.0);
-    gspec.r = r;
-    return graph::random_geometric(gspec, rng);
-  }
-  if (fam == "clique") return graph::clique_cluster(k);
-  if (fam == "star") return graph::star_ring(k, r);
-  if (fam == "line") return graph::line(k, flags.num("spacing", 1.0), r);
-  return bad();
+  t.type = fam;
 }
 
-graph::DualGraph build_network(const Flags& flags, Rng& rng) {
+/// Runs the scenario validator; a failure exits 2 naming the field.
+void validate(scn::ScenarioSpec& spec, const std::string& context = "") {
+  const scn::ScenarioError err = scn::validate_scenario(spec);
+  if (err.ok()) return;
+  fail(context + (err.field.empty() ? "" : err.field + ": ") + err.message);
+}
+
+/// Compiles the flags into the scenario they are sugar for and validates
+/// it.  `cmd` picks the workload (seed_agreement for seed, lb_progress
+/// otherwise) and the --phases default.
+scn::ScenarioSpec scenario_from_flags(const Flags& flags,
+                                      const std::string& cmd) {
+  scn::ScenarioSpec spec;
+  scn::TopologySpec& t = spec.topology;
+  t.type = flags.str("type", t.type);
+  t.n = uint_flag(flags, "n", t.n);
+  t.side = number_flag(flags, "side", t.side);
+  t.r = number_flag(flags, "r", t.r);
+  t.cols = uint_flag(flags, "cols", t.cols);
+  t.rows = uint_flag(flags, "rows", t.rows);
+  t.spacing = number_flag(flags, "spacing", t.spacing);
+  t.k = uint_flag(flags, "k", t.k);
   if (flags.flag("topology")) {
     if (flags.flag("type")) {
-      std::cerr << "dglab: --topology and --type are mutually exclusive "
-                   "(the alias already names the family)\n";
-      std::exit(2);
+      fail("--topology and --type are mutually exclusive (the alias "
+           "already names the family)");
     }
-    return build_network_alias(flags, rng);
+    apply_topology_alias(flags.str("topology", ""), t);
   }
-  const std::string type = flags.str("type", "geometric");
-  const double r = flags.num("r", 1.5);
-  const auto k = static_cast<std::size_t>(flags.uint("k", 16));
-  if (type == "grid") {
-    return graph::grid(static_cast<std::size_t>(flags.uint("cols", 6)),
-                       static_cast<std::size_t>(flags.uint("rows", 4)),
-                       flags.num("spacing", 1.0), r);
+  spec.scheduler = flags.str("sched", spec.scheduler);
+  spec.channel = flags.str("channel", spec.channel);
+  spec.traffic = flags.str("traffic", "");
+  spec.faults = flags.str("faults", "");
+  if (flags.flag("splice")) spec.stages = {flags.str("splice", "")};
+  scn::AlgorithmSpec& a = spec.algorithm;
+  a.type = cmd == "seed" ? "seed_agreement" : "lb_progress";
+  a.eps1 = number_flag(flags, "eps", a.eps1);
+  a.seed_eps = std::min(0.25, a.eps1);
+  a.ack_scale = number_flag(flags, "ack-scale", a.ack_scale);
+  a.horizon_phases = static_cast<std::int64_t>(
+      uint_flag(flags, "phases", cmd == "sweep" ? 20 : 30));
+  a.queue_cap = static_cast<std::int64_t>(uint_flag(flags, "traffic-cap", 0));
+  spec.seed = uint_flag(flags, "seed", 1, 0,
+                        std::numeric_limits<std::uint64_t>::max());
+  if (flags.flag("round-threads")) {
+    const std::string err = scn::validate_round_threads_value(
+        flags.str("round-threads", ""), spec.round_threads);
+    if (!err.empty()) fail("--" + err);
   }
-  if (type == "clique") return graph::clique_cluster(k);
-  if (type == "star") return graph::star_ring(k, r);
-  if (type == "line") return graph::line(k, flags.num("spacing", 1.0), r);
-  if (type != "geometric") {
-    // A typo like --type=cliqe must not silently run the default family.
-    std::cerr << "dglab: unknown --type '" << type
-              << "' (valid: geometric, grid, clique, star, line)\n";
-    std::exit(2);
-  }
-  graph::GeometricSpec spec;
-  spec.n = static_cast<std::size_t>(flags.uint("n", 64));
-  spec.side = flags.num("side", 4.0);
-  spec.r = r;
-  return graph::random_geometric(spec, rng);
-}
-
-/// --sched goes through the shared scn grammar, so a typo like
-/// --sched=bernouli:0.5 is rejected with the list of valid specs instead
-/// of silently running the Bernoulli default.
-std::unique_ptr<sim::LinkScheduler> build_scheduler(const Flags& flags) {
-  const std::string spec = flags.str("sched", "bernoulli:0.5");
-  const std::string error = scn::validate_scheduler_spec(spec);
-  if (!error.empty()) {
-    std::cerr << "dglab: --sched: " << error << "\n";
-    std::exit(2);
-  }
-  return scn::build_scheduler(spec);
-}
-
-/// Parses --channel=dual | sinr:alpha,beta,noise via the shared
-/// phys::parse_channel_spec grammar.  Returns nullptr for the default
-/// dual-graph reception (the scheduler decides the round topology); for
-/// sinr, the graph must carry a plane embedding.  Exits with a message on
-/// a malformed spec or a missing embedding (bad CLI input gets exit 2
-/// instead of the SinrChannel constructor's contract abort).
-std::unique_ptr<phys::ChannelModel> build_channel(const Flags& flags,
-                                                  const graph::DualGraph& g) {
-  phys::ChannelSpec spec;
-  const std::string error =
-      phys::parse_channel_spec(flags.str("channel", "dual"), spec);
-  if (!error.empty()) {
-    std::cerr << "dglab: --channel: " << error << "\n";
-    std::exit(2);
-  }
-  if (!spec.is_sinr) return nullptr;
-  if (!g.embedding().has_value()) {
-    std::cerr << "dglab: --channel=sinr needs an embedded topology "
-                 "(geometric, grid, star, or line)\n";
-    std::exit(2);
-  }
-  return std::make_unique<phys::SinrChannel>(spec.sinr);
+  validate(spec);
+  return spec;
 }
 
 /// Wire tail length when --trace-out is given without --trace.
@@ -387,22 +311,18 @@ struct TraceFlags {
 /// message on a bad value.  cmd_run checks the vertex ids against n
 /// before it prints anything.
 TraceFlags trace_flags(const Flags& flags) {
-  const auto reject = [](const std::string& message) {
-    std::cerr << "dglab: " << message << "\n";
-    std::exit(2);
-  };
   const bool out = flags.flag("trace-out");
   if (!out && (flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
-    reject("--trace-rounds/--trace-vertices need --trace-out=");
+    fail("--trace-rounds/--trace-vertices need --trace-out=");
   }
   TraceFlags t;
   if (flags.flag("trace")) {
     const std::string s = flags.str("trace", "");
     std::uint64_t n = 0;
     if (!parse_uint(s, n) || n == 0 || n > obs::TraceSink::kMaxWireCapacity) {
-      reject("--trace: the wire tail length must be an integer in [1, " +
-             std::to_string(obs::TraceSink::kMaxWireCapacity) + "]; got '" +
-             s + "'");
+      fail("--trace: the wire tail length must be an integer in [1, " +
+           std::to_string(obs::TraceSink::kMaxWireCapacity) + "]; got '" + s +
+           "'");
     }
     t.wire_tail = static_cast<std::size_t>(n);
   } else if (out) {
@@ -416,8 +336,7 @@ TraceFlags trace_flags(const Flags& flags) {
         !parse_uint(s.substr(colon + 1), hi) || lo > hi ||
         hi > static_cast<std::uint64_t>(
                  std::numeric_limits<std::int64_t>::max())) {
-      reject("--trace-rounds needs LO:HI with LO <= HI < 2^63; got '" + s +
-             "'");
+      fail("--trace-rounds needs LO:HI with LO <= HI < 2^63; got '" + s + "'");
     }
     t.filter.round_lo = static_cast<std::int64_t>(lo);
     t.filter.round_hi = static_cast<std::int64_t>(hi);
@@ -427,8 +346,8 @@ TraceFlags trace_flags(const Flags& flags) {
       std::uint64_t parsed = 0;
       if (!parse_uint(v, parsed) ||
           parsed > std::numeric_limits<graph::Vertex>::max()) {
-        reject("--trace-vertices needs a comma-separated vertex list; got '" +
-               v + "'");
+        fail("--trace-vertices needs a comma-separated vertex list; got '" +
+             v + "'");
       }
       t.filter.vertices.push_back(static_cast<graph::Vertex>(parsed));
     }
@@ -443,26 +362,7 @@ bool write_file(const std::string& path, const std::string& content) {
   return static_cast<bool>(os);
 }
 
-/// Builds the LB simulation with --channel deciding reception: an explicit
-/// channel model when one is requested, the dual-graph scheduler otherwise.
-std::unique_ptr<lb::LbSimulation> make_simulation(const Flags& flags,
-                                                  const graph::DualGraph& g,
-                                                  const lb::LbParams& params,
-                                                  std::uint64_t master) {
-  auto channel = build_channel(flags, g);
-  std::unique_ptr<lb::LbSimulation> sim;
-  if (channel != nullptr) {
-    sim = std::make_unique<lb::LbSimulation>(g, std::move(channel), params,
-                                             master);
-  } else {
-    sim = std::make_unique<lb::LbSimulation>(g, build_scheduler(flags), params,
-                                             master);
-  }
-  sim->configure(engine_config_flags(flags));
-  return sim;
-}
-
-void describe(const graph::DualGraph& g, const Flags& flags) {
+void describe(const graph::DualGraph& g) {
   std::cout << "network: n=" << g.size() << " Delta=" << g.delta()
             << " Delta'=" << g.delta_prime()
             << " unreliable-edges=" << g.unreliable_edge_count() << "\n";
@@ -473,15 +373,14 @@ void describe(const graph::DualGraph& g, const Flags& flags) {
                       : "INVALID")
               << "\n";
   }
-  (void)flags;
 }
 
 // ---- subcommands ----
 
-int cmd_net(const Flags& flags) {
-  Rng rng(flags.uint("seed", 1));
-  const auto g = build_network(flags, rng);
-  describe(g, flags);
+int cmd_net(const scn::ScenarioSpec& spec) {
+  Rng rng(spec.seed);
+  const auto g = scn::build_topology(spec.topology, rng);
+  describe(g);
   // Degree histogram.
   std::map<std::size_t, std::size_t> hist;
   for (graph::Vertex v = 0; v < g.size(); ++v) {
@@ -496,45 +395,19 @@ int cmd_net(const Flags& flags) {
   return 0;
 }
 
-int cmd_seed(const Flags& flags) {
-  const std::uint64_t master = flags.uint("seed", 1);
-  Rng rng(master);
-  const auto g = build_network(flags, rng);
-  describe(g, flags);
-  const double eps = std::min(0.25, flags.num("eps", 0.1));
+int cmd_seed(const scn::ScenarioSpec& spec) {
+  Rng rng(spec.seed);
+  const auto g = scn::build_topology(spec.topology, rng);
+  describe(g);
+  const double eps = spec.algorithm.seed_eps;
   const auto params = seed::SeedAlgParams::make(eps, g.delta());
   std::cout << "SeedAlg(eps=" << eps << "): " << params.num_phases
             << " phases x " << params.phase_length << " rounds = "
             << params.total_rounds() << " rounds\n";
-
-  const auto ids = sim::assign_ids(g.size(), derive_seed(master, 1));
-  auto channel = build_channel(flags, g);
-  std::vector<std::unique_ptr<sim::Process>> procs;
-  Rng init(derive_seed(master, 2));
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    procs.push_back(std::make_unique<seed::SeedProcess>(params, ids[v], init));
-  }
-  std::unique_ptr<sim::LinkScheduler> sched;
-  std::unique_ptr<sim::Engine> engine;
-  if (channel != nullptr) {
-    engine = std::make_unique<sim::Engine>(g, *channel, std::move(procs),
-                                           derive_seed(master, 3));
-  } else {
-    sched = build_scheduler(flags);
-    engine = std::make_unique<sim::Engine>(g, *sched, std::move(procs),
-                                           derive_seed(master, 3));
-  }
-  std::cout << "channel: " << engine->channel().name() << "\n";
-  engine->configure(engine_config_flags(flags));
-  engine->run_rounds(params.total_rounds());
-
-  seed::DecisionVector decisions(g.size());
-  for (graph::Vertex v = 0; v < g.size(); ++v) {
-    decisions[v] =
-        dynamic_cast<const seed::SeedProcess&>(engine->process(v)).decision();
-  }
-  const auto res = seed::check_seed_spec(g, ids, decisions);
-  std::cout << "spec: well-formed=" << (res.well_formed ? "OK" : "FAIL")
+  std::string channel;
+  const auto res = scn::run_seed_check(spec, g, spec.seed, nullptr, &channel);
+  std::cout << "channel: " << channel << "\n"
+            << "spec: well-formed=" << (res.well_formed ? "OK" : "FAIL")
             << " consistent=" << (res.consistent ? "OK" : "FAIL")
             << " owners-local=" << (res.owners_local ? "OK" : "FAIL") << "\n"
             << "distinct owners: " << res.distinct_owners
@@ -543,25 +416,24 @@ int cmd_seed(const Flags& flags) {
   return res.well_formed && res.consistent ? 0 : 1;
 }
 
-int cmd_run(const Flags& flags, const TraceFlags& trace) {
-  const std::uint64_t master = flags.uint("seed", 1);
-  Rng rng(master);
-  const auto g = build_network(flags, rng);
+int cmd_run(const Flags& flags, const scn::ScenarioSpec& spec,
+            const TraceFlags& trace) {
+  // The run knobs with no scenario key, applied after the shared builders.
+  const std::uint64_t senders = uint_flag(flags, "senders", 2);
+  const std::uint64_t reuse = uint_flag(flags, "reuse", 1, 1,
+                                        std::numeric_limits<int>::max());
+  Rng rng(spec.seed);
+  const auto g = scn::build_topology(spec.topology, rng);
   for (const graph::Vertex v : trace.filter.vertices) {
     if (v >= g.size()) {
-      std::cerr << "dglab: --trace-vertices: vertex " << v
-                << " is out of range for network size " << g.size() << "\n";
-      std::exit(2);
+      fail("--trace-vertices: vertex " + std::to_string(v) +
+           " is out of range for network size " + std::to_string(g.size()));
     }
   }
-  describe(g, flags);
+  describe(g);
 
-  lb::LbScales scales;
-  scales.ack_scale = flags.num("ack-scale", 0.02);
-  auto params = lb::LbParams::calibrated(flags.num("eps", 0.1),
-                                         std::max(1.0, g.r()), g.delta(),
-                                         g.delta_prime(), scales);
-  params.phases_per_seed = static_cast<int>(flags.uint("reuse", 1));
+  auto params = scn::lb_params_for(spec.algorithm, g);
+  params.phases_per_seed = static_cast<int>(reuse);
   params.use_shared_seeds = !flags.flag("ablate");
 
   std::cout << "LBAlg: T_s=" << params.t_s << " T_prog=" << params.t_prog
@@ -570,8 +442,9 @@ int cmd_run(const Flags& flags, const TraceFlags& trace) {
             << " T_ack=" << params.t_ack_phases << " phases"
             << (params.use_shared_seeds ? "" : "  [ABLATED]") << "\n";
 
-  auto sim_ptr = make_simulation(flags, g, params, master);
+  const auto sim_ptr = scn::make_lb_simulation(spec, g, params, spec.seed);
   lb::LbSimulation& sim = *sim_ptr;
+  sim.configure(scn::engine_config_for(spec, nullptr));
   std::cout << "channel: " << sim.engine().channel().name() << "\n";
 
   const bool want_metrics = flags.flag("metrics-out");
@@ -588,81 +461,25 @@ int cmd_run(const Flags& flags, const TraceFlags& trace) {
         &registry, want_trace ? sink.get() : nullptr));
   }
 
-  const std::string traffic_str = flags.str("traffic", "");
-  // Flag combinations that would otherwise be silently ignored are
-  // rejected (the same policy as unknown flags).
-  if (traffic_str.empty() && flags.flag("traffic-cap")) {
-    std::cerr << "dglab: --traffic-cap needs --traffic= (the keep-busy "
-                 "default has no admission queue)\n";
-    std::exit(2);
-  }
-  if (!traffic_str.empty() && flags.flag("senders")) {
-    std::cerr << "dglab: --senders and --traffic are mutually exclusive "
-                 "(use --traffic=saturate:count for spread senders)\n";
-    std::exit(2);
-  }
-  if (!traffic_str.empty()) {
-    traffic::TrafficSpec tspec;
-    const std::string error = traffic::parse_traffic_spec(traffic_str, tspec);
-    if (!error.empty()) {
-      std::cerr << "dglab: --traffic: " << error << "\n";
-      std::exit(2);
-    }
-    const bool counted = tspec.kind == traffic::TrafficSpec::Kind::kSaturate ||
-                         tspec.kind == traffic::TrafficSpec::Kind::kBurst;
-    if ((counted && tspec.count > g.size()) ||
-        (tspec.kind == traffic::TrafficSpec::Kind::kHotspot &&
-         tspec.hot >= g.size())) {
-      std::cerr << "dglab: --traffic: vertex bound exceeds network size "
-                << g.size() << " in '" << traffic_str << "'\n";
-      std::exit(2);
-    }
-    // Digits only: strtoull would silently wrap "-1" to ULLONG_MAX (an
-    // unbounded queue) instead of rejecting it.
-    const std::string cap_str = flags.str("traffic-cap", "0");
-    if (cap_str.empty() ||
-        cap_str.find_first_not_of("0123456789") != std::string::npos) {
-      std::cerr << "dglab: --traffic-cap needs a non-negative integer; "
-                   "got '" << cap_str << "'\n";
-      std::exit(2);
-    }
+  if (!spec.traffic.empty()) {
     sim.traffic().set_queue_capacity(
-        static_cast<std::size_t>(flags.uint("traffic-cap", 0)));
-    sim.add_traffic(
-        traffic::build_source(tspec, g.size(), derive_seed(master, 0x7fcULL)));
-    std::cout << "traffic: " << traffic_str << "\n";
-  } else {
-    const auto senders =
-        std::min<std::uint64_t>(flags.uint("senders", 2), g.size());
-    if (senders >= 1) {
-      sim.keep_busy(traffic::spread_vertices(
-          static_cast<std::size_t>(senders), g.size()));
-    }
+        static_cast<std::size_t>(spec.algorithm.queue_cap));
+    sim.add_traffic(traffic::build_source(spec.traffic_spec, g.size(),
+                                          derive_seed(spec.seed, 0x7fcULL)));
+    std::cout << "traffic: " << spec.traffic << "\n";
+  } else if (const auto count = std::min<std::uint64_t>(senders, g.size());
+             count >= 1) {
+    sim.keep_busy(
+        traffic::spread_vertices(static_cast<std::size_t>(count), g.size()));
   }
-  const std::string faults_str = flags.str("faults", "");
   std::unique_ptr<fault::FaultPlan> plan;  // must outlive the run
-  if (!faults_str.empty()) {
-    fault::FaultSpec fspec;
-    const std::string error = fault::parse_fault_spec(faults_str, fspec);
-    if (!error.empty()) {
-      std::cerr << "dglab: --faults: " << error << "\n";
-      std::exit(2);
-    }
-    const bool names_vertex = fspec.kind == fault::FaultSpec::Kind::kCrash ||
-                              fspec.kind == fault::FaultSpec::Kind::kRegion;
-    if ((names_vertex && fspec.vertex >= g.size()) ||
-        (fspec.kind == fault::FaultSpec::Kind::kAdversary &&
-         static_cast<std::size_t>(fspec.k) > g.size())) {
-      std::cerr << "dglab: --faults: vertex bound exceeds network size "
-                << g.size() << " in '" << faults_str << "'\n";
-      std::exit(2);
-    }
-    plan = fault::build_fault_plan(fspec);
+  if (!spec.faults.empty()) {
+    plan = fault::build_fault_plan(spec.fault_spec);
     sim.configure(sim::EngineConfig{}.with_fault_plan(plan.get()));
-    std::cout << "faults: " << faults_str << " (" << plan->name()
+    std::cout << "faults: " << spec.faults << " (" << plan->name()
               << " plan)\n";
   }
-  sim.run_phases(static_cast<std::int64_t>(flags.uint("phases", 30)));
+  sim.run_phases(spec.algorithm.horizon_phases);
   if (want_metrics || want_trace) sim.export_telemetry();
 
   const auto& r = sim.report();
@@ -676,7 +493,7 @@ int cmd_run(const Flags& flags, const TraceFlags& trace) {
             << "  reliability: " << r.reliability.successes() << "/"
             << r.reliability.trials() << "   progress: "
             << r.progress.successes() << "/" << r.progress.trials() << "\n";
-  if (!traffic_str.empty()) {
+  if (!spec.traffic.empty()) {
     const traffic::TrafficStats& ts = sim.traffic().stats();
     // --phases=0 runs no rounds; report 0 rates instead of dividing by 0.
     const double rounds = std::max(1.0, static_cast<double>(sim.round()));
@@ -694,7 +511,7 @@ int cmd_run(const Flags& flags, const TraceFlags& trace) {
                 << "  re-admitted after recovery: " << ts.readmitted << "\n";
     }
   }
-  if (!faults_str.empty()) {
+  if (!spec.faults.empty()) {
     // The graceful-degradation ledger: spec tallies above cover only
     // fault-free windows; everything a fault touched degrades into here.
     const lb::DegradationLedger& led = sim.ledger();
@@ -739,21 +556,35 @@ int cmd_run(const Flags& flags, const TraceFlags& trace) {
   return r.timely_ack_ok && r.validity_ok ? 0 : 1;
 }
 
-int cmd_sweep(const Flags& flags) {
+int cmd_sweep(const Flags& flags, const scn::ScenarioSpec& base) {
+  // Each --deltas entry is the base scenario on a clique of that size,
+  // validated before any point runs.
+  const std::string deltas = flags.str("deltas", "4,8,16,32");
+  std::vector<scn::ScenarioSpec> points;
+  for (const std::string& ds : split(deltas, ',')) {
+    std::uint64_t k = 0;
+    if (!parse_uint(ds, k)) {
+      fail("--deltas needs a comma-separated list of clique sizes; got '" +
+           deltas + "'");
+    }
+    scn::ScenarioSpec& spec = points.emplace_back(base);
+    spec.topology.type = "clique";
+    spec.topology.k = static_cast<std::size_t>(k);
+    spec.algorithm.r = 1.5;
+    validate(spec, "--deltas=" + ds + ": ");
+  }
+  if (points.empty()) fail("--deltas needs at least one clique size");
   Table table({"Delta", "phase", "progress mean (rounds)",
                "reliability", "progress freq"});
-  for (const std::string& ds : split(flags.str("deltas", "4,8,16,32"), ',')) {
-    const auto clique = static_cast<std::size_t>(
-        std::strtoull(ds.c_str(), nullptr, 10));
-    const auto g = graph::clique_cluster(clique);
-    lb::LbScales scales;
-    scales.ack_scale = flags.num("ack-scale", 0.02);
-    const auto params = lb::LbParams::calibrated(
-        flags.num("eps", 0.1), 1.5, g.delta(), g.delta_prime(), scales);
-    auto sim_ptr = make_simulation(flags, g, params, flags.uint("seed", 1));
+  for (const scn::ScenarioSpec& spec : points) {
+    Rng rng(spec.seed);
+    const auto g = scn::build_topology(spec.topology, rng);
+    const auto params = scn::lb_params_for(spec.algorithm, g);
+    const auto sim_ptr = scn::make_lb_simulation(spec, g, params, spec.seed);
     lb::LbSimulation& sim = *sim_ptr;
+    sim.configure(scn::engine_config_for(spec, nullptr));
     sim.keep_busy({0});
-    sim.run_phases(static_cast<std::int64_t>(flags.uint("phases", 20)));
+    sim.run_phases(spec.algorithm.horizon_phases);
     const auto& r = sim.report();
     // Mean first-reception latency across completed broadcasts.
     double total = 0;
@@ -765,7 +596,7 @@ int cmd_sweep(const Flags& flags) {
       }
     }
     table.row()
-        .cell(static_cast<std::uint64_t>(clique))
+        .cell(static_cast<std::uint64_t>(spec.topology.k))
         .cell(params.phase_length())
         .cell(count ? total / static_cast<double>(count) : 0.0, 1)
         .cell(std::to_string(r.reliability.successes()) + "/" +
@@ -822,36 +653,46 @@ int main(int argc, char** argv) {
     std::cerr << "\n";
     return 2;
   }
-  check_numeric_flags(flags);
+  if (cmd != "net" && cmd != "seed" && cmd != "run" && cmd != "sweep") {
+    usage();
+    return 2;
+  }
   // Traffic flags only apply to `run`; the other subcommands drive their
   // own environments, and silently ignoring the flags there would break
   // the no-silent-ignore policy the run command enforces.
   if (cmd != "run" &&
       (flags.flag("traffic") || flags.flag("traffic-cap") ||
        flags.flag("faults"))) {
-    std::cerr << "dglab: --traffic/--traffic-cap/--faults only apply to "
-                 "the 'run' subcommand\n";
-    return 2;
+    fail("--traffic/--traffic-cap/--faults only apply to the 'run' "
+         "subcommand");
+  }
+  // Flag combinations that would otherwise be silently ignored are
+  // rejected (the same policy as unknown flags).
+  const bool traffic = !flags.str("traffic", "").empty();
+  if (!traffic && flags.flag("traffic-cap")) {
+    fail("--traffic-cap needs --traffic= (the keep-busy default has no "
+         "admission queue)");
+  }
+  if (traffic && flags.flag("senders")) {
+    fail("--senders and --traffic are mutually exclusive (use "
+         "--traffic=saturate:count for spread senders)");
   }
   if (cmd == "net" && flags.flag("splice")) {
-    std::cerr << "dglab: --splice only applies to the run/sweep/seed "
-                 "subcommands (net builds no engine)\n";
-    return 2;
+    fail("--splice only applies to the run/sweep/seed subcommands (net "
+         "builds no engine)");
   }
   if (cmd != "run" &&
       (flags.flag("metrics-out") || flags.flag("trace") ||
        flags.flag("trace-out") || flags.flag("trace-rounds") ||
        flags.flag("trace-vertices"))) {
-    std::cerr << "dglab: the telemetry flags (--metrics-out/--trace/"
-                 "--trace-out/--trace-rounds/--trace-vertices) only apply to "
-                 "the 'run' subcommand\n";
-    return 2;
+    fail("the telemetry flags (--metrics-out/--trace/--trace-out/"
+         "--trace-rounds/--trace-vertices) only apply to the 'run' "
+         "subcommand");
   }
   const TraceFlags trace = trace_flags(flags);
-  if (cmd == "net") return cmd_net(flags);
-  if (cmd == "seed") return cmd_seed(flags);
-  if (cmd == "run") return cmd_run(flags, trace);
-  if (cmd == "sweep") return cmd_sweep(flags);
-  usage();
-  return 2;
+  const scn::ScenarioSpec spec = scenario_from_flags(flags, cmd);
+  if (cmd == "net") return cmd_net(spec);
+  if (cmd == "seed") return cmd_seed(spec);
+  if (cmd == "run") return cmd_run(flags, spec, trace);
+  return cmd_sweep(flags, spec);
 }
