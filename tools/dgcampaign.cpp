@@ -244,26 +244,16 @@ int cmd_run(const std::vector<std::string>& args, const Flags& flags) {
       }
       if (!options.splice.empty()) {
         // The forced stage must compose with every variant's own stages:
-        // re-run the load-time write-set validation over the combined
-        // list so a conflict dies here, naming the variant, instead of
-        // contract-aborting mid-campaign.
-        for (const auto& v : parsed.campaign.variants) {
-          std::vector<sim::SpliceSpec> specs;
-          std::string err;
-          for (const std::string& text : v.stages) {
-            sim::SpliceSpec spec;
-            if (sim::parse_splice_spec(text, spec, err)) {
-              specs.push_back(std::move(spec));
-            }
-          }
-          sim::SpliceSpec forced;
-          sim::parse_splice_spec(options.splice, forced, err);
-          specs.push_back(std::move(forced));
-          const std::string conflict = sim::validate_splice_specs(specs);
-          if (!conflict.empty()) {
+        // re-validate each variant with it appended, so a conflict dies
+        // here, naming the variant, instead of contract-aborting
+        // mid-campaign.
+        for (scn::ScenarioSpec v : parsed.campaign.variants) {
+          v.stages.push_back(options.splice);
+          const scn::ScenarioError err = scn::validate_scenario(v);
+          if (!err.ok()) {
             std::cerr << "dgcampaign: --splice=" << options.splice
                       << " conflicts with variant '" << v.name
-                      << "': " << conflict << "\n";
+                      << "': " << err.message << "\n";
             return 2;
           }
         }
