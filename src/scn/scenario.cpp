@@ -224,8 +224,7 @@ bool parse_algorithm(Ctx& ctx, const json::Value& v, const std::string& path,
   ObjectReader r(ctx, v, path, kAlgorithmKeys);
   std::int64_t log_delta = out.log_delta;
   if (!r.str("type", out.type) || !r.number("eps1", out.eps1) ||
-      !r.number("r", out.r) ||
-      !r.number("ack_scale", out.ack_scale) ||
+      !r.number("r", out.r) || !r.number("ack_scale", out.ack_scale) ||
       !r.integer("receiver", out.receiver, -1) ||
       !r.integer("horizon_phases", out.horizon_phases, 1) ||
       !r.integer("log_delta", log_delta, 1, 62) ||

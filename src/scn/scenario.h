@@ -184,8 +184,9 @@ struct ScenarioError {
 /// channel, traffic, fault and stage specs (filling channel_spec,
 /// traffic_spec and fault_spec); the channel/topology/deployment
 /// compatibility rules; and the vertex bounds.  A spec that passes builds
-/// and runs without tripping a library precondition.  Which workload may
-/// carry traffic, faults or queue_cap is a campaign rule, checked by
+/// its topology, scheduler, channel, traffic source, fault plan and stages
+/// without tripping a library precondition.  Which workload may carry
+/// traffic, faults or queue_cap is a campaign rule, checked by
 /// parse_campaign_text.
 ScenarioError validate_scenario(ScenarioSpec& spec);
 
