@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -177,7 +178,7 @@ constexpr std::initializer_list<const char*> kTopologyKeys = {
 constexpr std::initializer_list<const char*> kAlgorithmKeys = {
     "type", "eps1", "r", "ack_scale", "senders", "receiver",
     "horizon_phases", "log_delta", "horizon_rounds", "ack_rounds",
-    "seed_eps", "queue_cap"};
+    "seed_eps", "queue_cap", "phases_per_seed", "shared_seeds"};
 constexpr std::initializer_list<const char*> kAxisEntryKeys = {
     "tag", "seed_offset", "set"};
 
@@ -231,7 +232,10 @@ bool parse_algorithm(Ctx& ctx, const json::Value& v, const std::string& path,
       !r.integer("horizon_rounds", out.horizon_rounds, 1) ||
       !r.integer("ack_rounds", out.ack_rounds, 1) ||
       !r.number("seed_eps", out.seed_eps) ||
-      !r.integer("queue_cap", out.queue_cap, 0)) {
+      !r.integer("queue_cap", out.queue_cap, 0) ||
+      !r.integer("phases_per_seed", out.phases_per_seed,
+                 -(std::int64_t{1} << 53)) ||
+      !r.boolean("shared_seeds", out.shared_seeds)) {
     return false;
   }
   out.log_delta = static_cast<int>(log_delta);
@@ -320,6 +324,11 @@ std::string algorithm_error(const AlgorithmSpec& a) {
   }
   if (!(a.ack_scale > 0.0)) return "ack_scale must be > 0";
   if (!(a.r >= 0.0)) return "r must be >= 0 (0 = derive from topology)";
+  if (a.phases_per_seed < 1 ||
+      a.phases_per_seed > std::numeric_limits<int>::max()) {
+    return "phases_per_seed must be in [1, " +
+           std::to_string(std::numeric_limits<int>::max()) + "]";
+  }
   return "";
 }
 
@@ -695,23 +704,6 @@ std::string validate_scheduler_spec(const std::string& spec) {
                       "bernoulli:p, full-g, full-gprime, "
                       "flicker:period:duty, burst:epoch:p, "
                       "anti[:log_delta[:pivot]]");
-}
-
-std::string validate_round_threads_value(const std::string& value,
-                                         std::size_t& out) {
-  if (value.empty()) return "round-threads needs a positive integer; got ''";
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      return "round-threads needs a positive integer; got '" + value + "'";
-    }
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (end != value.c_str() + value.size() || parsed == 0) {
-    return "round-threads must be >= 1 (serial is 1); got '" + value + "'";
-  }
-  out = static_cast<std::size_t>(parsed);
-  return "";
 }
 
 std::unique_ptr<sim::LinkScheduler> build_scheduler(const std::string& spec) {

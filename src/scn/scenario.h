@@ -100,6 +100,12 @@ struct AlgorithmSpec {
   std::int64_t receiver = 0;              ///< -1 = first G-neighbor of
                                           ///< senders[0] (fallback vertex 1)
   std::int64_t horizon_phases = 12;
+  /// Phases run per SeedAlg execution (the Section 4.2 seed-reuse remark;
+  /// lb::LbParams::phases_per_seed), in [1, INT_MAX].
+  std::int64_t phases_per_seed = 1;
+  /// false = the ablation: body rounds draw from private coins instead of
+  /// the agreed seeds (lb::LbParams::use_shared_seeds).
+  bool shared_seeds = true;
 
   // Decay baseline knobs (decay_progress).
   int log_delta = 7;
@@ -194,14 +200,6 @@ ScenarioError validate_scenario(ScenarioSpec& spec);
 /// flicker:period:duty | burst:epoch,p | anti[:log_delta[:pivot]].
 /// Returns "" or a message naming the offending token.
 std::string validate_scheduler_spec(const std::string& spec);
-
-/// Validates a --round-threads style value: a positive integer, no sign,
-/// no trailing junk (0 is rejected -- "run serial" is spelled 1, matching
-/// sim::EngineConfig::round_threads).  On success fills `out` and returns
-/// ""; otherwise returns a message naming the offending value.  Shared by
-/// dglab and dgcampaign so the two CLIs reject identically.
-std::string validate_round_threads_value(const std::string& value,
-                                         std::size_t& out);
 
 /// Builds the (committed-later) scheduler for a validated spec.
 /// Contract-checks that the spec is valid.

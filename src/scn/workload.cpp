@@ -293,8 +293,11 @@ lb::LbParams lb_params_for(const AlgorithmSpec& a,
   lb::LbScales scales;
   scales.ack_scale = a.ack_scale;
   const double r = a.r > 0 ? a.r : std::max(1.0, g.r());
-  return lb::LbParams::calibrated(a.eps1, r, g.delta(), g.delta_prime(),
-                                  scales);
+  auto params = lb::LbParams::calibrated(a.eps1, r, g.delta(),
+                                         g.delta_prime(), scales);
+  params.phases_per_seed = static_cast<int>(a.phases_per_seed);
+  params.use_shared_seeds = a.shared_seeds;
+  return params;
 }
 
 sim::EngineConfig engine_config_for(const ScenarioSpec& spec,

@@ -61,7 +61,7 @@ std::vector<double> run_trial(const ScenarioSpec& spec,
 // ---- the builders the workloads share with dglab ----
 
 /// LBAlg parameters calibrated on `g`; algorithm.r = 0 means
-/// max(1.0, g.r()).
+/// max(1.0, g.r()).  Carries phases_per_seed and shared_seeds over.
 lb::LbParams lb_params_for(const AlgorithmSpec& a, const graph::DualGraph& g);
 
 /// The variant's EngineConfig: thread cap, telemetry into `registry` when

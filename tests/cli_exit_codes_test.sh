@@ -1,8 +1,9 @@
 #!/bin/sh
 # Bad command-line input must exit 2 with a message, never crash: numeric
 # dglab flags outside the scenario schema's ranges, bad trace flags (which
-# must be rejected before dglab prints or builds anything), and a campaign
-# file nested deeper than the JSON parser's cap.
+# must be rejected before dglab prints or builds anything), flags outside a
+# subcommand's flag table or written against the flag grammar, and a
+# campaign file nested deeper than the JSON parser's cap.
 #
 #   tests/cli_exit_codes_test.sh <dglab> <dgcampaign>
 set -u
@@ -86,6 +87,45 @@ for flag in --trace-rounds=1:2 --trace-vertices=1; do
 done
 expect_exit2_silent "dglab seed --trace=4" \
   "$dglab" seed --type=geometric --n=16 --trace=4
+
+# One flag grammar (tools/cli_flags.h): a valued flag needs '=', a switch
+# takes no value, no flag may be given twice, and each subcommand accepts
+# only the flags it reads.  Every case here used to exit 0: the flag was
+# misread (--phases as 1 phase, --trace as a 1-event tail, --ablate=0 as
+# ablated, the last --n winning) or silently ignored.
+for flags in "--phases" "--phases=2 --trace" "--phases=1 --ablate=0" \
+             "--n=32 --phases=1"; do
+  # shellcheck disable=SC2086  # $flags holds several words on purpose
+  expect_exit2 "dglab run --n=16 $flags" "$dglab" run --n=16 $flags
+done
+for flags in "--senders=3" "--type=grid"; do
+  expect_exit2 "dglab sweep $flags" \
+    "$dglab" sweep --deltas=4 --phases=5 "$flags"
+done
+for flag in --phases=7 --ack-scale=0.1 --senders=2; do
+  expect_exit2_silent "dglab seed $flag" "$dglab" seed --n=32 "$flag"
+done
+for flag in --eps=0.3 --sched=anti --round-threads=2; do
+  expect_exit2_silent "dglab net $flag" "$dglab" net --n=32 "$flag"
+done
+smoke=$(dirname "$0")/../campaigns/smoke.json
+expect_exit2 "dgcampaign validate --threads=4" \
+  "$dgcampaign" validate "$smoke" --threads=4
+expect_exit2 "dgcampaign list --quiet=1" \
+  "$dgcampaign" list "$smoke" --quiet=1
+expect_exit2 "dgcampaign run --max-trials=99999999999999999999999" \
+  "$dgcampaign" run "$smoke" --max-trials=99999999999999999999999 --quiet \
+  --out="$tmp/out_dir"
+
+# --round-threads is a positive integer: digits only, no sign, no blanks,
+# and "run serial" is spelled 1, not 0.
+for value in "" 0 -3 4x x " 2" +2; do
+  expect_exit2_silent "dglab run --round-threads='$value'" \
+    "$dglab" run --n=16 --phases=1 "--round-threads=$value"
+  expect_exit2 "dgcampaign run --round-threads='$value'" \
+    "$dgcampaign" run "$smoke" --quiet --out="$tmp/out_dir" \
+    "--round-threads=$value"
+done
 
 # 200 000 unclosed '[' -- the recursive parser used to overflow the stack.
 head -c 200000 /dev/zero | tr '\0' '[' >"$tmp/deep.json"

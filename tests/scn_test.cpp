@@ -348,18 +348,62 @@ TEST(CampaignRunner, CountersAreByteIdenticalAcrossRoundThreads) {
   EXPECT_EQ(a, b);
 }
 
-TEST(ScenarioSchema, RoundThreadsValueValidation) {
-  // The shared flag grammar for dglab/dgcampaign --round-threads: digits
-  // only, >= 1 ("run serial" is spelled 1, not 0).
-  std::size_t out = 0;
-  EXPECT_EQ(validate_round_threads_value("1", out), "");
-  EXPECT_EQ(out, 1u);
-  EXPECT_EQ(validate_round_threads_value("8", out), "");
-  EXPECT_EQ(out, 8u);
-  for (const char* bad : {"", "0", "-3", "4x", "x", " 2", "+2"}) {
-    std::size_t ignored = 0;
-    EXPECT_NE(validate_round_threads_value(bad, ignored), "") << bad;
-  }
+/// A one-scenario lb_progress campaign whose algorithm object carries
+/// `extra` (a leading comma included).
+std::string lb_scenario_with(const std::string& extra) {
+  return R"({"campaign": "t", "scenarios": [{"name": "s",
+      "topology": {"type": "clique", "k": 4},
+      "algorithm": {"type": "lb_progress", "senders": [1], "receiver": 0)" +
+         extra + "}, \"trials\": 1, \"seed\": 7}]}";
+}
+
+TEST(ScenarioSchema, SeedKnobsParse) {
+  const auto dflt = parse(lb_scenario_with(""));
+  ASSERT_TRUE(dflt.ok()) << dflt.error;
+  EXPECT_EQ(dflt.campaign.variants[0].algorithm.phases_per_seed, 1);
+  EXPECT_TRUE(dflt.campaign.variants[0].algorithm.shared_seeds);
+
+  const auto set = parse(
+      lb_scenario_with(R"(, "phases_per_seed": 3, "shared_seeds": false)"));
+  ASSERT_TRUE(set.ok()) << set.error;
+  EXPECT_EQ(set.campaign.variants[0].algorithm.phases_per_seed, 3);
+  EXPECT_FALSE(set.campaign.variants[0].algorithm.shared_seeds);
+}
+
+TEST(ScenarioSchema, SeedKnobsAreCheckedWithTheirPath) {
+  const auto zero = parse(lb_scenario_with(R"(, "phases_per_seed": 0)"));
+  ASSERT_FALSE(zero.ok());
+  EXPECT_EQ(zero.error.rfind("test.json:3:", 0), 0u) << zero.error;
+  EXPECT_NE(zero.error.find("scenarios[0].algorithm: phases_per_seed must "
+                            "be in [1, 2147483647]"),
+            std::string::npos)
+      << zero.error;
+  const auto big =
+      parse(lb_scenario_with(R"(, "phases_per_seed": 2147483648)"));
+  EXPECT_NE(big.error.find("phases_per_seed must be in"), std::string::npos)
+      << big.error;
+
+  const auto not_bool = parse(lb_scenario_with(R"(, "shared_seeds": 1)"));
+  ASSERT_FALSE(not_bool.ok());
+  EXPECT_EQ(not_bool.error.rfind("test.json:3:", 0), 0u) << not_bool.error;
+  EXPECT_NE(not_bool.error.find("scenarios[0].algorithm: key "
+                                "'shared_seeds' must be a boolean"),
+            std::string::npos)
+      << not_bool.error;
+}
+
+TEST(ScenarioSchema, LbParamsForCarriesSeedKnobs) {
+  const auto g = graph::clique_cluster(4);
+  AlgorithmSpec a;
+  const lb::LbParams dflt = lb_params_for(a, g);
+  EXPECT_EQ(dflt.phases_per_seed, 1);
+  EXPECT_TRUE(dflt.use_shared_seeds);
+  a.phases_per_seed = 4;
+  a.shared_seeds = false;
+  const lb::LbParams set = lb_params_for(a, g);
+  EXPECT_EQ(set.phases_per_seed, 4);
+  EXPECT_FALSE(set.use_shared_seeds);
+  EXPECT_EQ(set.t_prog, dflt.t_prog);  // calibration is unchanged
 }
 
 TEST(ScenarioSchema, RoundThreadsKeyParsesAndRejectsZero) {

@@ -4,6 +4,11 @@
 //   dgcampaign list     <campaign.json | dir> [--filter=] expanded variants
 //   dgcampaign validate <campaign.json | dir>...          parse/schema check
 //
+// `validate` takes no flags, `list` reads only --filter, and `run` reads
+// all of them; kFlags below is the table (tools/cli_flags.h).  Any other
+// flag, a flag the subcommand does not read, a valued flag without '=', a
+// switch given a value, or a flag given twice exits 2.
+//
 // Flags:
 //   --threads=N     trial worker cap, N >= 1 (omit the flag to use hardware
 //                   concurrency; an explicit 0 is rejected).  Changes
@@ -11,7 +16,8 @@
 //                   for any value (stats::run_trials derives per-trial seeds
 //                   from the trial index, never the worker).
 //   --filter=SUBSTR run/list only variants whose name contains SUBSTR
-//   --max-trials=N  clamp per-variant trial counts (nightly CI reduction)
+//   --max-trials=N  clamp per-variant trial counts (nightly CI reduction;
+//                   0, the default, leaves them as declared)
 //   --round-threads=N  force the engine's sharded-round thread cap onto
 //                   every variant, N >= 1 (omit to honor each variant's
 //                   spec / the DG_ROUND_THREADS default).  Like --threads
@@ -33,16 +39,14 @@
 // subdirectories like campaigns/golden/ are not descended into).
 //
 // Exit status: 0 ok; 1 execution/write failure; 2 usage or validation
-// error.  Unknown --flags are rejected.
+// error.
 #include <algorithm>
-#include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "scn/campaign.h"
 #include "scn/scenario.h"
 #include "scn/workload.h"
@@ -51,99 +55,13 @@
 namespace {
 
 using namespace dg;
+using cli::Flags;
 
-struct FlagInfo {
-  const char* name;
-  bool takes_value;
-};
-constexpr FlagInfo kValidFlags[] = {
-    {"threads", true},   {"filter", true}, {"max-trials", true},
-    {"round-threads", true}, {"splice", true}, {"out", true},
-    {"quiet", false},
-};
-
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        positional_.push_back(arg);
-        continue;
-      }
-      const auto eq = arg.find('=');
-      const std::string key =
-          eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
-      const auto* info =
-          std::find_if(std::begin(kValidFlags), std::end(kValidFlags),
-                       [&](const FlagInfo& f) { return key == f.name; });
-      if (info == std::end(kValidFlags)) {
-        errors_.push_back("unknown flag '" + arg + "'");
-        continue;
-      }
-      if (info->takes_value && eq == std::string::npos) {
-        // Catch "--out DIR": the space form would silently drop the value
-        // and misread DIR as a campaign path.
-        errors_.push_back("flag '" + arg + "' needs a value (--" + key +
-                          "=...)");
-        continue;
-      }
-      values_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
-      // Numeric flags are validated here so a typo like --threads=4x
-      // errors instead of silently parsing as 0.
-      if (key == "threads" || key == "max-trials") {
-        const std::string& v = values_[key];
-        char* end = nullptr;
-        const auto parsed = std::strtoull(v.c_str(), &end, 10);
-        // strtoull legally wraps "-1" to ULLONG_MAX; the leading '-'
-        // check keeps negatives in the rejection path.
-        if (v.empty() || v[0] == '-' || end == nullptr || *end != '\0') {
-          errors_.push_back("flag '--" + key +
-                            "' needs a non-negative integer; got '" + v +
-                            "'");
-        } else if (key == "threads" && parsed == 0) {
-          // An explicit 0 is almost always a typo'd worker count; the
-          // "use hardware concurrency" spelling is omitting the flag.
-          errors_.push_back(
-              "flag '--threads' needs a worker count >= 1; omit the flag "
-              "to use hardware concurrency");
-        }
-      } else if (key == "round-threads") {
-        // Shared validator (scn/scenario.h) so dglab rejects identically.
-        std::size_t parsed = 0;
-        const std::string err =
-            scn::validate_round_threads_value(values_[key], parsed);
-        if (!err.empty()) errors_.push_back("flag '--round-threads': " + err);
-      } else if (key == "splice") {
-        // Shared grammar (sim/splice.h) so dglab rejects identically.
-        sim::SpliceSpec spec;
-        std::string err;
-        if (!sim::parse_splice_spec(values_[key], spec, err)) {
-          errors_.push_back("flag '--splice': " + err);
-        }
-      }
-    }
-  }
-
-  const std::vector<std::string>& positional() const noexcept {
-    return positional_;
-  }
-  const std::vector<std::string>& errors() const noexcept { return errors_; }
-  std::string str(const std::string& key, const std::string& dflt) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? dflt : it->second;
-  }
-  std::uint64_t uint(const std::string& key, std::uint64_t dflt) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? dflt
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  bool flag(const std::string& key) const { return values_.contains(key); }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> positional_;
-  std::vector<std::string> errors_;
+constexpr cli::FlagSpec kFlags[] = {
+    {"threads", true, "run"},       {"filter", true, "list run"},
+    {"max-trials", true, "run"},    {"round-threads", true, "run"},
+    {"splice", true, "run"},        {"out", true, "run"},
+    {"quiet", false, "run"},
 };
 
 /// Expands a positional argument: a file names itself; a directory names
@@ -226,13 +144,22 @@ int cmd_list(const std::vector<std::string>& args, const Flags& flags) {
 
 int cmd_run(const std::vector<std::string>& args, const Flags& flags) {
   scn::RunOptions options;
-  options.threads = static_cast<std::size_t>(flags.uint("threads", 0));
+  // An explicit --threads=0 is almost always a typo'd worker count; the
+  // "use hardware concurrency" spelling is omitting the flag.
+  options.threads = flags.integer("threads", 0, 1);
   options.filter = flags.str("filter", "");
-  options.max_trials = static_cast<std::size_t>(flags.uint("max-trials", 0));
-  options.round_threads =
-      static_cast<std::size_t>(flags.uint("round-threads", 0));
+  options.max_trials = flags.integer("max-trials", 0);
+  options.round_threads = flags.integer("round-threads", 0, 1);
   options.splice = flags.str("splice", "");
-  if (!flags.flag("quiet")) options.progress = &std::cout;
+  if (flags.has("splice")) {
+    // Shared grammar (sim/splice.h) so dglab rejects identically.
+    sim::SpliceSpec spec;
+    std::string err;
+    if (!sim::parse_splice_spec(options.splice, spec, err)) {
+      flags.fail("--splice: " + err);
+    }
+  }
+  if (!flags.has("quiet")) options.progress = &std::cout;
   const std::string out_dir = flags.str("out", "bench_out");
 
   for (const std::string& arg : args) {
@@ -258,7 +185,7 @@ int cmd_run(const std::vector<std::string>& args, const Flags& flags) {
           }
         }
       }
-      if (!flags.flag("quiet")) {
+      if (!flags.has("quiet")) {
         std::cout << path << ": campaign '" << parsed.campaign.name
                   << "'\n";
       }
@@ -277,7 +204,7 @@ int cmd_run(const std::vector<std::string>& args, const Flags& flags) {
         std::cerr << "dgcampaign: " << err << "\n";
         return 1;
       }
-      if (!flags.flag("quiet")) {
+      if (!flags.has("quiet")) {
         std::cout << "  -> " << out_dir << "/COUNTERS_"
                   << scn::sanitize_filename(result.name) << ".json ("
                   << result.variants.size() << " variants, "
@@ -305,16 +232,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Flags flags(argc, argv, 2);
-  if (!flags.errors().empty()) {
-    for (const std::string& message : flags.errors()) {
-      std::cerr << "dgcampaign: " << message << "\n";
-    }
-    std::cerr << "valid flags:";
-    for (const FlagInfo& f : kValidFlags) std::cerr << " --" << f.name;
-    std::cerr << "\n";
+  if (cmd != "validate" && cmd != "list" && cmd != "run") {
+    usage();
     return 2;
   }
+  const Flags flags("dgcampaign", kFlags, cmd, argc, argv, 2);
+  flags.exit_on_errors();
   if (flags.positional().empty()) {
     std::cerr << "dgcampaign: " << cmd
               << " needs at least one campaign file or directory\n";
@@ -323,7 +246,5 @@ int main(int argc, char** argv) {
   }
   if (cmd == "validate") return cmd_validate(flags.positional());
   if (cmd == "list") return cmd_list(flags.positional(), flags);
-  if (cmd == "run") return cmd_run(flags.positional(), flags);
-  usage();
-  return 2;
+  return cmd_run(flags.positional(), flags);
 }

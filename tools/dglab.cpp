@@ -1,44 +1,60 @@
 // dglab -- command-line laboratory for the dual-graph local broadcast stack.
 //
-//   dglab net   [topology flags]                  describe a network
-//   dglab seed  [topology flags] [--eps=0.1]      run seed agreement + spec
-//   dglab run   [topology flags] [run flags]      run LBAlg + spec report
-//   dglab sweep [--deltas=4,8,16,32] [run flags]  progress/delivery sweep
+//   dglab net   [topology flags]                      describe a network
+//   dglab seed  [topology flags] [engine flags]       seed agreement + spec
+//   dglab run   [every flag but --deltas]             LBAlg + spec report
+//   dglab sweep [--deltas=...] [engine + LBAlg flags] progress/delivery sweep
 //
-// The topology, run and environment flags are sugar for the keys of one
-// scn::ScenarioSpec (scn/scenario.h); dglab fills the spec, runs the
-// scenario validator, and builds everything with the shared scn builders.
-// Topology flags:
+// The flags are sugar for the keys of one scn::ScenarioSpec
+// (scn/scenario.h); dglab fills the spec, runs the scenario validator, and
+// builds everything with the shared scn builders.  kFlags below lists the
+// subcommands that read each flag, grouped as here; any other flag, a flag
+// the subcommand does not read, a valued flag without '=', a switch given
+// a value, or a flag given twice exits 2 (tools/cli_flags.h).  Value
+// ranges are scn::validate_scenario()'s.
+//
+// Every subcommand:
+//   --seed=1  master seed
+// Topology flags (net, seed, run):
 //   --type=geometric|grid|clique|star|line   (default geometric; also the
 //           schema's bridged|contention_star|disjoint_cliques)
 //   --n=64 --side=4.0 --r=1.5                (geometric)
 //   --cols=6 --rows=4 --spacing=1.0          (grid)
 //   --k=16                                   (clique size / star leaves / line length)
-// Run flags:
-//   --eps=0.1 --seed=1 --phases=30 --senders=2 --ack-scale=0.02
+//   --topology=family:args  compact alias for --type and its size:
+//           grid:32x32 | geometric:256 | clique:16 | star:16 | line:16
+//           (the geometry flags --side, --spacing, --r still apply)
+// Engine flags (seed, run, sweep):
+//   --eps=0.1  LBAlg's eps1; SeedAlg runs at min(0.25, eps)
 //   --sched=bernoulli:0.5 | full-g | full-gprime | flicker:64:32
 //           | burst:16:0.5 | anti
 //   --channel=dual | sinr:alpha,beta,noise   (reception physics; sinr needs
 //           an embedded topology and makes --sched irrelevant)
-//   --traffic=saturate[:count] | poisson:rate | burst:period:size[:count]
-//           | hotspot:rate:bias[:hot]   (environment traffic model; replaces
-//           the --senders keep-busy default and prints queue/latency stats)
-//   --traffic-cap=N  (per-node admission queue bound; 0 = unbounded)
-//   --faults=crash:round:vertex[:repair] | poisson:rate[:mean_repair]
-//           | region:round:center:radius[:repair] | adversary:k[:period[:repair]]
-//           (crash/recover schedule; prints the graceful-degradation
-//           ledger -- fault-window progress violations, re-stabilization
-//           time, throughput dip -- next to the clean-window spec report)
 //   --round-threads=N  (sharded-round worker cap, N >= 1; omit to use the
 //           DG_ROUND_THREADS default.  Results are byte-identical at every
 //           value -- the flag moves wall clock, never outcomes)
 //   --splice=SPEC  (splice an extra stage into the engine's round
 //           pipeline: noop | dedup[:window[:slab]] | tap:slab[:v1,...];
-//           see sim/splice.h for the grammar.  Applies to run, sweep and
-//           seed; a dedup stage suppresses recently-heard packets, a tap
-//           stage counts slab population per round into the telemetry)
-//   --reuse=1 (phases per seed)  --ablate (private coins)
-// Telemetry flags (run only):
+//           see sim/splice.h for the grammar.  A dedup stage suppresses
+//           recently-heard packets, a tap stage counts slab population per
+//           round into the telemetry)
+// LBAlg flags (run, sweep):
+//   --phases=30 (sweep: 20)  --ack-scale=0.02
+//   --reuse=1   phases per seed (algorithm.phases_per_seed)
+//   --ablate    private coins instead of shared seeds
+//               (algorithm.shared_seeds = false)
+// Run flags (run only):
+//   --senders=2  keep-busy senders spread over the network
+//   --traffic=saturate[:count] | poisson:rate | burst:period:size[:count]
+//           | hotspot:rate:bias[:hot]   (environment traffic model; replaces
+//           the --senders keep-busy default and prints queue/latency stats)
+//   --traffic-cap=N  (per-node admission queue bound; 0 = unbounded; needs
+//           --traffic)
+//   --faults=crash:round:vertex[:repair] | poisson:rate[:mean_repair]
+//           | region:round:center:radius[:repair] | adversary:k[:period[:repair]]
+//           (crash/recover schedule; prints the graceful-degradation
+//           ledger -- fault-window progress violations, re-stabilization
+//           time, throughput dip -- next to the clean-window spec report)
 //   --trace=N  print the last N wire events (transmissions, receptions,
 //           collisions) after the report, 1 <= N <= 65536; with
 //           --trace-out the same N-event tail becomes the trace's "wire"
@@ -56,22 +72,16 @@
 //           message spans, fault instants and wire events in the JSON
 //           (engine phase slices always pass; the --trace text does not
 //           filter).  Both need --trace-out.
+// Sweep flags (sweep only):
+//   --deltas=4,8,16,32  clique sizes, one table row each
 //
-// --topology=family:args is a compact alias for the topology flags:
-//   grid:32x32 | geometric:256 | clique:16 | star:16 | line:16
-//
-// Unknown --flags are rejected (a typo like --schd= must not silently run
-// the default configuration); value ranges are scn::validate_scenario()'s.
 // When the first argument is a --flag the `run` subcommand is implied:
 // `dglab --topology=grid:8x8 --phases=10`.
 //
 // Example:
 //   dglab run --type=geometric --n=48 --sched=bernoulli:0.5 --phases=40
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -80,6 +90,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "fault/spec.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
@@ -96,132 +107,41 @@
 namespace {
 
 using namespace dg;
-
-// ---- tiny flag parser: --key=value ----
-
-/// Every flag any subcommand understands; parsing rejects the rest.
-constexpr const char* kValidFlags[] = {
-    "type", "n", "side", "r", "cols", "rows", "spacing", "k",   // topology
-    "topology",                                                 // alias
-    "eps", "seed", "phases", "senders", "ack-scale",            // run
-    "sched", "channel", "reuse", "ablate", "deltas",            // run/sweep
-    "traffic", "traffic-cap", "round-threads", "faults",        // environment
-    "splice",                                                   // pipeline
-    "metrics-out", "trace", "trace-out", "trace-rounds",        // obs
-    "trace-vertices",
-};
-
-class Flags {
- public:
-// GCC 12's -Wrestrict misfires on the std::string assignments below once
-// they inline into main (upstream PR105329 family); the code is plain
-// map-of-string bookkeeping.  Clang has no -Wrestrict group, so the
-// pragma is GCC-only.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        unknown_.push_back(arg);
-        continue;
-      }
-      const auto eq = arg.find('=');
-      const std::string key =
-          eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
-      if (std::find_if(std::begin(kValidFlags), std::end(kValidFlags),
-                       [&](const char* f) { return key == f; }) ==
-          std::end(kValidFlags)) {
-        unknown_.push_back(arg);
-        continue;
-      }
-      if (eq == std::string::npos) {
-        values_[key] = "1";
-      } else {
-        values_[key] = arg.substr(eq + 1);
-      }
-    }
-  }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-  /// Arguments that matched no known flag (typos like --schd=).
-  const std::vector<std::string>& unknown() const noexcept { return unknown_; }
-
-  std::string str(const std::string& key, const std::string& dflt) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? dflt : it->second;
-  }
-  bool flag(const std::string& key) const { return values_.contains(key); }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> unknown_;
-};
-
+using cli::Flags;
+using cli::parse_uint;
 using dg::spec::split;
 
-/// Prints "dglab: <message>" and exits 2: every bad input ends here.
-[[noreturn]] void fail(const std::string& message) {
-  std::cerr << "dglab: " << message << "\n";
-  std::exit(2);
-}
+// Which subcommands read each flag group (see the header).
+constexpr const char* kAll = "net seed run sweep";
+constexpr const char* kTopology = "net seed run";
+constexpr const char* kEngine = "seed run sweep";
+constexpr const char* kLb = "run sweep";
 
-/// Strict non-negative integer parse (strtoull alone would silently wrap
-/// "-1", read "abc" as 0, accept trailing junk and saturate on overflow).
-bool parse_uint(const std::string& s, std::uint64_t& out) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  errno = 0;
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
-
-/// Strict finite-number parse for numeric flags (strtod alone would read
-/// "abc" as 0 and ignore trailing junk).
-bool parse_number(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size() && std::isfinite(out);
-}
-
-/// --key as an integer in [lo, hi], or `dflt` when the flag is absent.
-std::uint64_t uint_flag(
-    const Flags& flags, const char* key, std::uint64_t dflt,
-    std::uint64_t lo = 0,
-    std::uint64_t hi = std::numeric_limits<std::int64_t>::max()) {
-  if (!flags.flag(key)) return dflt;
-  const std::string s = flags.str(key, "");
-  std::uint64_t v = 0;
-  if (!parse_uint(s, v) || v < lo || v > hi) {
-    fail("--" + std::string(key) + " needs an integer in [" +
-         std::to_string(lo) + ", " + std::to_string(hi) + "]; got '" + s +
-         "'");
-  }
-  return v;
-}
-
-/// --key as a finite number, or `dflt` when the flag is absent.  Its range
-/// is the scenario validator's to check.
-double number_flag(const Flags& flags, const char* key, double dflt) {
-  if (!flags.flag(key)) return dflt;
-  const std::string s = flags.str(key, "");
-  double x = 0.0;
-  if (!parse_number(s, x)) {
-    fail("--" + std::string(key) + " needs a number; got '" + s + "'");
-  }
-  return x;
-}
+constexpr cli::FlagSpec kFlags[] = {
+    {"seed", true, kAll},
+    {"type", true, kTopology},      {"n", true, kTopology},
+    {"side", true, kTopology},      {"r", true, kTopology},
+    {"cols", true, kTopology},      {"rows", true, kTopology},
+    {"spacing", true, kTopology},   {"k", true, kTopology},
+    {"topology", true, kTopology},
+    {"eps", true, kEngine},         {"sched", true, kEngine},
+    {"channel", true, kEngine},     {"round-threads", true, kEngine},
+    {"splice", true, kEngine},
+    {"phases", true, kLb},          {"ack-scale", true, kLb},
+    {"reuse", true, kLb},           {"ablate", false, kLb},
+    {"senders", true, "run"},       {"traffic", true, "run"},
+    {"traffic-cap", true, "run"},   {"faults", true, "run"},
+    {"trace", true, "run"},         {"metrics-out", true, "run"},
+    {"trace-out", true, "run"},     {"trace-rounds", true, "run"},
+    {"trace-vertices", true, "run"},
+    {"deltas", true, "sweep"},
+};
 
 /// Expands --topology=family:args (grid:32x32, geometric:256, clique:16,
 /// star:16, line:16) into the topology's family and size.  The geometry
 /// flags (--side, --spacing, --r) still apply.
-void apply_topology_alias(const std::string& alias, scn::TopologySpec& t) {
+void apply_topology_alias(const Flags& flags, scn::TopologySpec& t) {
+  const std::string alias = flags.str("topology", "");
   const auto colon = alias.find(':');
   const std::string fam = alias.substr(0, colon);
   const std::string args =
@@ -237,18 +157,20 @@ void apply_topology_alias(const std::string& alias, scn::TopologySpec& t) {
              parse_uint(args, a)) {
     (fam == "geometric" ? t.n : t.k) = a;
   } else {
-    fail("--topology: malformed spec '" + alias +
-         "' (valid: grid:COLSxROWS, geometric:N, clique:K, star:K, "
-         "line:K)");
+    flags.fail("--topology: malformed spec '" + alias +
+               "' (valid: grid:COLSxROWS, geometric:N, clique:K, star:K, "
+               "line:K)");
   }
   t.type = fam;
 }
 
 /// Runs the scenario validator; a failure exits 2 naming the field.
-void validate(scn::ScenarioSpec& spec, const std::string& context = "") {
+void validate(const Flags& flags, scn::ScenarioSpec& spec,
+              const std::string& context = "") {
   const scn::ScenarioError err = scn::validate_scenario(spec);
   if (err.ok()) return;
-  fail(context + (err.field.empty() ? "" : err.field + ": ") + err.message);
+  flags.fail(context + (err.field.empty() ? "" : err.field + ": ") +
+             err.message);
 }
 
 /// Compiles the flags into the scenario they are sugar for and validates
@@ -259,41 +181,40 @@ scn::ScenarioSpec scenario_from_flags(const Flags& flags,
   scn::ScenarioSpec spec;
   scn::TopologySpec& t = spec.topology;
   t.type = flags.str("type", t.type);
-  t.n = uint_flag(flags, "n", t.n);
-  t.side = number_flag(flags, "side", t.side);
-  t.r = number_flag(flags, "r", t.r);
-  t.cols = uint_flag(flags, "cols", t.cols);
-  t.rows = uint_flag(flags, "rows", t.rows);
-  t.spacing = number_flag(flags, "spacing", t.spacing);
-  t.k = uint_flag(flags, "k", t.k);
-  if (flags.flag("topology")) {
-    if (flags.flag("type")) {
-      fail("--topology and --type are mutually exclusive (the alias "
-           "already names the family)");
+  t.n = flags.integer("n", t.n);
+  t.side = flags.number("side", t.side);
+  t.r = flags.number("r", t.r);
+  t.cols = flags.integer("cols", t.cols);
+  t.rows = flags.integer("rows", t.rows);
+  t.spacing = flags.number("spacing", t.spacing);
+  t.k = flags.integer("k", t.k);
+  if (flags.has("topology")) {
+    if (flags.has("type")) {
+      flags.fail("--topology and --type are mutually exclusive (the alias "
+                 "already names the family)");
     }
-    apply_topology_alias(flags.str("topology", ""), t);
+    apply_topology_alias(flags, t);
   }
   spec.scheduler = flags.str("sched", spec.scheduler);
   spec.channel = flags.str("channel", spec.channel);
   spec.traffic = flags.str("traffic", "");
   spec.faults = flags.str("faults", "");
-  if (flags.flag("splice")) spec.stages = {flags.str("splice", "")};
+  if (flags.has("splice")) spec.stages = {flags.str("splice", "")};
   scn::AlgorithmSpec& a = spec.algorithm;
   a.type = cmd == "seed" ? "seed_agreement" : "lb_progress";
-  a.eps1 = number_flag(flags, "eps", a.eps1);
+  a.eps1 = flags.number("eps", a.eps1);
   a.seed_eps = std::min(0.25, a.eps1);
-  a.ack_scale = number_flag(flags, "ack-scale", a.ack_scale);
+  a.ack_scale = flags.number("ack-scale", a.ack_scale);
   a.horizon_phases = static_cast<std::int64_t>(
-      uint_flag(flags, "phases", cmd == "sweep" ? 20 : 30));
-  a.queue_cap = static_cast<std::int64_t>(uint_flag(flags, "traffic-cap", 0));
-  spec.seed = uint_flag(flags, "seed", 1, 0,
-                        std::numeric_limits<std::uint64_t>::max());
-  if (flags.flag("round-threads")) {
-    const std::string err = scn::validate_round_threads_value(
-        flags.str("round-threads", ""), spec.round_threads);
-    if (!err.empty()) fail("--" + err);
-  }
-  validate(spec);
+      flags.integer("phases", cmd == "sweep" ? 20 : 30));
+  a.phases_per_seed = static_cast<std::int64_t>(
+      flags.integer("reuse", static_cast<std::uint64_t>(a.phases_per_seed)));
+  a.shared_seeds = !flags.has("ablate");
+  a.queue_cap = static_cast<std::int64_t>(flags.integer("traffic-cap", 0));
+  spec.seed = flags.integer("seed", 1, 0,
+                            std::numeric_limits<std::uint64_t>::max());
+  spec.round_threads = flags.integer("round-threads", 0, 1);
+  validate(flags, spec);
   return spec;
 }
 
@@ -311,24 +232,14 @@ struct TraceFlags {
 /// message on a bad value.  cmd_run checks the vertex ids against n
 /// before it prints anything.
 TraceFlags trace_flags(const Flags& flags) {
-  const bool out = flags.flag("trace-out");
-  if (!out && (flags.flag("trace-rounds") || flags.flag("trace-vertices"))) {
-    fail("--trace-rounds/--trace-vertices need --trace-out=");
+  const bool out = flags.has("trace-out");
+  if (!out && (flags.has("trace-rounds") || flags.has("trace-vertices"))) {
+    flags.fail("--trace-rounds/--trace-vertices need --trace-out=");
   }
   TraceFlags t;
-  if (flags.flag("trace")) {
-    const std::string s = flags.str("trace", "");
-    std::uint64_t n = 0;
-    if (!parse_uint(s, n) || n == 0 || n > obs::TraceSink::kMaxWireCapacity) {
-      fail("--trace: the wire tail length must be an integer in [1, " +
-           std::to_string(obs::TraceSink::kMaxWireCapacity) + "]; got '" + s +
-           "'");
-    }
-    t.wire_tail = static_cast<std::size_t>(n);
-  } else if (out) {
-    t.wire_tail = kDefaultWireTail;
-  }
-  if (flags.flag("trace-rounds")) {
+  t.wire_tail = flags.integer("trace", out ? kDefaultWireTail : 0, 1,
+                              obs::TraceSink::kMaxWireCapacity);
+  if (flags.has("trace-rounds")) {
     const std::string s = flags.str("trace-rounds", "");
     const auto colon = s.find(':');
     std::uint64_t lo = 0, hi = 0;
@@ -336,21 +247,20 @@ TraceFlags trace_flags(const Flags& flags) {
         !parse_uint(s.substr(colon + 1), hi) || lo > hi ||
         hi > static_cast<std::uint64_t>(
                  std::numeric_limits<std::int64_t>::max())) {
-      fail("--trace-rounds needs LO:HI with LO <= HI < 2^63; got '" + s + "'");
+      flags.fail("--trace-rounds needs LO:HI with LO <= HI < 2^63; got '" +
+                 s + "'");
     }
     t.filter.round_lo = static_cast<std::int64_t>(lo);
     t.filter.round_hi = static_cast<std::int64_t>(hi);
   }
-  if (flags.flag("trace-vertices")) {
-    for (const std::string& v : split(flags.str("trace-vertices", ""), ',')) {
-      std::uint64_t parsed = 0;
-      if (!parse_uint(v, parsed) ||
-          parsed > std::numeric_limits<graph::Vertex>::max()) {
-        fail("--trace-vertices needs a comma-separated vertex list; got '" +
-             v + "'");
-      }
-      t.filter.vertices.push_back(static_cast<graph::Vertex>(parsed));
+  for (const std::string& v : split(flags.str("trace-vertices", ""), ',')) {
+    std::uint64_t parsed = 0;
+    if (!parse_uint(v, parsed) ||
+        parsed > std::numeric_limits<graph::Vertex>::max()) {
+      flags.fail("--trace-vertices needs a comma-separated vertex list; "
+                 "got '" + v + "'");
     }
+    t.filter.vertices.push_back(static_cast<graph::Vertex>(parsed));
   }
   return t;
 }
@@ -418,23 +328,20 @@ int cmd_seed(const scn::ScenarioSpec& spec) {
 
 int cmd_run(const Flags& flags, const scn::ScenarioSpec& spec,
             const TraceFlags& trace) {
-  // The run knobs with no scenario key, applied after the shared builders.
-  const std::uint64_t senders = uint_flag(flags, "senders", 2);
-  const std::uint64_t reuse = uint_flag(flags, "reuse", 1, 1,
-                                        std::numeric_limits<int>::max());
+  // The run knob with no scenario key, applied after the shared builders.
+  const std::uint64_t senders = flags.integer("senders", 2);
   Rng rng(spec.seed);
   const auto g = scn::build_topology(spec.topology, rng);
   for (const graph::Vertex v : trace.filter.vertices) {
     if (v >= g.size()) {
-      fail("--trace-vertices: vertex " + std::to_string(v) +
-           " is out of range for network size " + std::to_string(g.size()));
+      flags.fail("--trace-vertices: vertex " + std::to_string(v) +
+                 " is out of range for network size " +
+                 std::to_string(g.size()));
     }
   }
   describe(g);
 
-  auto params = scn::lb_params_for(spec.algorithm, g);
-  params.phases_per_seed = static_cast<int>(reuse);
-  params.use_shared_seeds = !flags.flag("ablate");
+  const auto params = scn::lb_params_for(spec.algorithm, g);
 
   std::cout << "LBAlg: T_s=" << params.t_s << " T_prog=" << params.t_prog
             << " phase=" << params.phase_length()
@@ -447,8 +354,8 @@ int cmd_run(const Flags& flags, const scn::ScenarioSpec& spec,
   sim.configure(scn::engine_config_for(spec, nullptr));
   std::cout << "channel: " << sim.engine().channel().name() << "\n";
 
-  const bool want_metrics = flags.flag("metrics-out");
-  const bool want_trace = flags.flag("trace-out");
+  const bool want_metrics = flags.has("metrics-out");
+  const bool want_trace = flags.has("trace-out");
   obs::Registry registry;  // backs --trace-out's profiler even without
                            // --metrics-out; only written when asked for
   std::unique_ptr<obs::TraceSink> sink;
@@ -531,7 +438,7 @@ int cmd_run(const Flags& flags, const scn::ScenarioSpec& spec,
               << "  fault-window ack rate "
               << led.fault_window_ack_rate() << "/round\n";
   }
-  if (flags.flag("trace")) {
+  if (flags.has("trace")) {
     std::cout << "\ntrace tail:\n";
     sink->write_text(std::cout);
   }
@@ -564,16 +471,16 @@ int cmd_sweep(const Flags& flags, const scn::ScenarioSpec& base) {
   for (const std::string& ds : split(deltas, ',')) {
     std::uint64_t k = 0;
     if (!parse_uint(ds, k)) {
-      fail("--deltas needs a comma-separated list of clique sizes; got '" +
-           deltas + "'");
+      flags.fail("--deltas needs a comma-separated list of clique sizes; "
+                 "got '" + deltas + "'");
     }
     scn::ScenarioSpec& spec = points.emplace_back(base);
     spec.topology.type = "clique";
     spec.topology.k = static_cast<std::size_t>(k);
     spec.algorithm.r = 1.5;
-    validate(spec, "--deltas=" + ds + ": ");
+    validate(flags, spec, "--deltas=" + ds + ": ");
   }
-  if (points.empty()) fail("--deltas needs at least one clique size");
+  if (points.empty()) flags.fail("--deltas needs at least one clique size");
   Table table({"Delta", "phase", "progress mean (rounds)",
                "reliability", "progress freq"});
   for (const scn::ScenarioSpec& spec : points) {
@@ -609,23 +516,13 @@ int cmd_sweep(const Flags& flags, const scn::ScenarioSpec& base) {
 
 void usage() {
   std::cout << "usage: dglab <net|seed|run|sweep> [--flags]\n"
-               "       dglab --flags...   (implies 'run')\n"
-               "  --topology=grid:32x32 | geometric:256 | clique:16 | "
-               "star:16 | line:16\n"
-               "  --metrics-out=FILE --trace-out=FILE  telemetry dumps "
-               "(trace-event JSON loads in Perfetto)\n"
-               "  --trace=N  print the last N wire events (tx/rx/collision)\n"
-               "  --trace-rounds=LO:HI --trace-vertices=v1,v2  trace filters\n"
-               "  --channel=dual | sinr:alpha,beta,noise  reception physics\n"
-               "  --splice=noop | dedup[:window[:slab]] | tap:slab[:v1,...]"
-               "  extra pipeline stage\n"
-               "  --traffic=saturate[:count] | poisson:rate | "
-               "burst:period:size[:count] | hotspot:rate:bias[:hot]\n"
-               "  --faults=crash:round:vertex[:repair] | "
-               "poisson:rate[:mean_repair] | "
-               "region:round:center:radius[:repair] | "
-               "adversary:k[:period[:repair]]\n"
-               "see the header of tools/dglab.cpp for the full flag list\n";
+               "       dglab --flags...   (implies 'run')\n";
+  for (const char* cmd : {"net", "seed", "run", "sweep"}) {
+    std::cout << "  " << cmd << ":";
+    cli::print_flags(std::cout, kFlags, cmd);
+    std::cout << "\n";
+  }
+  std::cout << "see the header of tools/dglab.cpp for values and defaults\n";
 }
 
 }  // namespace
@@ -643,51 +540,25 @@ int main(int argc, char** argv) {
     cmd = "run";
     first = 1;
   }
-  const Flags flags(argc, argv, first);
-  if (!flags.unknown().empty()) {
-    for (const std::string& arg : flags.unknown()) {
-      std::cerr << "dglab: unknown flag '" << arg << "'\n";
-    }
-    std::cerr << "valid flags:";
-    for (const char* f : kValidFlags) std::cerr << " --" << f;
-    std::cerr << "\n";
-    return 2;
-  }
   if (cmd != "net" && cmd != "seed" && cmd != "run" && cmd != "sweep") {
     usage();
     return 2;
   }
-  // Traffic flags only apply to `run`; the other subcommands drive their
-  // own environments, and silently ignoring the flags there would break
-  // the no-silent-ignore policy the run command enforces.
-  if (cmd != "run" &&
-      (flags.flag("traffic") || flags.flag("traffic-cap") ||
-       flags.flag("faults"))) {
-    fail("--traffic/--traffic-cap/--faults only apply to the 'run' "
-         "subcommand");
+  const Flags flags("dglab", kFlags, cmd, argc, argv, first);
+  flags.exit_on_errors();
+  if (!flags.positional().empty()) {
+    flags.fail("unexpected argument '" + flags.positional().front() + "'");
   }
   // Flag combinations that would otherwise be silently ignored are
   // rejected (the same policy as unknown flags).
   const bool traffic = !flags.str("traffic", "").empty();
-  if (!traffic && flags.flag("traffic-cap")) {
-    fail("--traffic-cap needs --traffic= (the keep-busy default has no "
-         "admission queue)");
+  if (!traffic && flags.has("traffic-cap")) {
+    flags.fail("--traffic-cap needs --traffic= (the keep-busy default has "
+               "no admission queue)");
   }
-  if (traffic && flags.flag("senders")) {
-    fail("--senders and --traffic are mutually exclusive (use "
-         "--traffic=saturate:count for spread senders)");
-  }
-  if (cmd == "net" && flags.flag("splice")) {
-    fail("--splice only applies to the run/sweep/seed subcommands (net "
-         "builds no engine)");
-  }
-  if (cmd != "run" &&
-      (flags.flag("metrics-out") || flags.flag("trace") ||
-       flags.flag("trace-out") || flags.flag("trace-rounds") ||
-       flags.flag("trace-vertices"))) {
-    fail("the telemetry flags (--metrics-out/--trace/--trace-out/"
-         "--trace-rounds/--trace-vertices) only apply to the 'run' "
-         "subcommand");
+  if (traffic && flags.has("senders")) {
+    flags.fail("--senders and --traffic are mutually exclusive (use "
+               "--traffic=saturate:count for spread senders)");
   }
   const TraceFlags trace = trace_flags(flags);
   const scn::ScenarioSpec spec = scenario_from_flags(flags, cmd);
