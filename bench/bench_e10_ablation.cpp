@@ -6,96 +6,59 @@
 // timing structure, no coordination.  The paper's analysis needs the
 // coordination (it bounds the number of distinct schedules per neighborhood
 // by delta); this experiment quantifies the empirical gap on contended
-// neighborhoods and under the anti-schedule adversary.
-#include <memory>
+// neighborhoods and under a flooding adversary.
+//
+// Ported: the workload is the checked-in scenario file
+// campaigns/e10_ablation.json (cliques of 9 and 33 under full-g and the
+// 64-leaf contention star under full-gprime, each with
+// algorithm.shared_seeds true and false, 20 trials per row); this binary
+// runs it through the scn::CampaignRunner and prints the historical table,
+// counting a trial that never delivered as horizon x phase rounds.  The
+// numbers are bit-identical to the pre-port hand-written bench: same trial
+// seeds (0xe10 + contenders + shared, 0xe10f + shared), same workload body.
+#include <iostream>
 
-#include "baseline/decay.h"
 #include "bench_support.h"
-#include "stats/montecarlo.h"
-
-namespace dg {
-namespace {
-
-double trial(std::uint64_t seed, bool shared_seeds, std::size_t contenders,
-             bool adversarial) {
-  const auto g = graph::clique_cluster(contenders + 1);
-  lb::LbScales scales;
-  scales.ack_scale = 0.02;
-  auto params =
-      lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
-  params.use_shared_seeds = shared_seeds;
-  std::unique_ptr<sim::LinkScheduler> sched;
-  if (adversarial) {
-    // Cliques have no unreliable edges; the adversary only matters on the
-    // contention star, handled below.
-    sched = std::make_unique<sim::ConstantScheduler>(true);
-  } else {
-    sched = std::make_unique<sim::ConstantScheduler>(false);
-  }
-  std::vector<graph::Vertex> senders;
-  for (graph::Vertex v = 1; v <= contenders; ++v) senders.push_back(v);
-  const auto latency =
-      bench::lb_progress_latency(g, std::move(sched), params, senders, 0,
-                                 /*horizon_phases=*/12, seed);
-  return static_cast<double>(latency == 0 ? 12 * params.phase_length()
-                                          : latency);
-}
-
-double star_trial(std::uint64_t seed, bool shared_seeds) {
-  const auto g = bench::contention_star(64);
-  lb::LbScales scales;
-  scales.ack_scale = 0.01;
-  auto params =
-      lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
-  params.use_shared_seeds = shared_seeds;
-  std::vector<graph::Vertex> senders;
-  for (graph::Vertex v = 1; v < g.size(); ++v) senders.push_back(v);
-  const auto latency = bench::lb_progress_latency(
-      g, std::make_unique<sim::ConstantScheduler>(true), params, senders, 0,
-      /*horizon_phases=*/10, seed);
-  return static_cast<double>(latency == 0 ? 10 * params.phase_length()
-                                          : latency);
-}
-
-}  // namespace
-}  // namespace dg
+#include "scn/campaign.h"
 
 int main() {
   using namespace dg;
+  const std::string path = bench::campaign_file("e10_ablation.json");
+  const auto parsed = scn::parse_campaign_file(path);
+  if (!parsed.ok()) {
+    std::cerr << parsed.error << "\n";
+    return 2;
+  }
+  const auto result = scn::run_campaign(parsed.campaign, scn::RunOptions{});
+
   bench::print_header(
       "E10: seed-agreement ablation",
       "LBAlg vs an ablated variant drawing identical distributions from "
       "private coins\n(no neighborhood coordination).  The analysis requires "
       "coordination to bound the\nnumber of distinct schedules per "
       "neighborhood; this measures what it buys\nempirically.  Metric: "
-      "progress latency at a contended receiver.");
-
-  const int trials = 20;
+      "progress latency at a contended receiver.\nScenario: " +
+          path);
 
   Table table({"topology", "variant", "progress mean", "progress p90"});
-  for (std::size_t contenders : {8, 32}) {
-    for (bool shared : {true, false}) {
-      const auto samples = stats::run_trials(
-          trials, 0xe10ULL + contenders + (shared ? 1 : 0),
-          [&](std::size_t, std::uint64_t s) {
-            return trial(s, shared, contenders, false);
-          });
-      const auto summary = stats::Summary::of(samples);
-      table.row()
-          .cell("clique k=" + std::to_string(contenders))
-          .cell(shared ? "seeded (LBAlg)" : "ablated (private)")
-          .cell(summary.mean, 1)
-          .cell(summary.p90, 1);
+  for (const auto& v : result.variants) {
+    const scn::ScenarioSpec& spec = v.spec;
+    std::vector<double> latencies;
+    for (const auto& row : v.trials) {
+      // row = {latency, phase length}; 0 = no reception within the horizon.
+      latencies.push_back(row[0] != 0 ? row[0]
+                                      : static_cast<double>(
+                                            spec.algorithm.horizon_phases) *
+                                            row[1]);
     }
-  }
-  for (bool shared : {true, false}) {
-    const auto samples = stats::run_trials(
-        trials, 0xe10fULL + (shared ? 1 : 0),
-        [&](std::size_t, std::uint64_t s) { return star_trial(s, shared); });
-    const auto summary = stats::Summary::of(samples);
+    const auto summary = stats::Summary::of(latencies);
     table.row()
-        .cell("unreliable star k=64 (flooded)")
-        .cell(shared ? "seeded (LBAlg)" : "ablated (private)")
+        .cell(spec.topology.type == "clique"
+                  ? "clique k=" + std::to_string(spec.topology.k - 1)
+                  : "unreliable star k=" + std::to_string(spec.topology.k) +
+                        " (flooded)")
+        .cell(spec.algorithm.shared_seeds ? "seeded (LBAlg)"
+                                          : "ablated (private)")
         .cell(summary.mean, 1)
         .cell(summary.p90, 1);
   }
