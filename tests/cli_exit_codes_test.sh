@@ -90,7 +90,7 @@ expect_exit2_silent "dglab seed --trace=4" \
 
 # One flag grammar (tools/cli_flags.h): a valued flag needs '=', a switch
 # takes no value, no flag may be given twice, and each subcommand accepts
-# only the flags it reads.  Every case here used to exit 0: the flag was
+# only the flags it reads.  Otherwise each case below runs with the flag
 # misread (--phases as 1 phase, --trace as a 1-event tail, --ablate=0 as
 # ablated, the last --n winning) or silently ignored.
 for flags in "--phases" "--phases=2 --trace" "--phases=1 --ablate=0" \
@@ -98,10 +98,10 @@ for flags in "--phases" "--phases=2 --trace" "--phases=1 --ablate=0" \
   # shellcheck disable=SC2086  # $flags holds several words on purpose
   expect_exit2 "dglab run --n=16 $flags" "$dglab" run --n=16 $flags
 done
-for flags in "--senders=3" "--type=grid"; do
-  expect_exit2 "dglab sweep $flags" \
-    "$dglab" sweep --deltas=4 --phases=5 "$flags"
-done
+expect_exit2 "dglab sweep --senders=3" \
+  "$dglab" sweep --deltas=4 --phases=5 --senders=3
+expect_exit2 "dglab sweep --type=grid" \
+  "$dglab" sweep --deltas=4 --phases=3 --type=grid
 for flag in --phases=7 --ack-scale=0.1 --senders=2; do
   expect_exit2_silent "dglab seed $flag" "$dglab" seed --n=32 "$flag"
 done
