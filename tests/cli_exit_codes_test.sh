@@ -109,6 +109,20 @@ for flag in --eps=0.3 --sched=anti --round-threads=2; do
   expect_exit2_silent "dglab net $flag" "$dglab" net --n=32 "$flag"
 done
 smoke=$(dirname "$0")/../campaigns/smoke.json
+# A valued flag needs a non-empty value: each of these used to run as if
+# the flag were absent (every variant for --filter=; the whole campaign,
+# then a failed write, for --out=).
+for flag in --traffic= --faults=; do
+  expect_exit2_silent "dglab run $flag" \
+    "$dglab" run --type=geometric --n=16 --phases=1 "$flag"
+done
+expect_exit2_silent "dglab run --trace-vertices= --trace-out" \
+  "$dglab" run --type=geometric --n=16 --phases=1 --trace-vertices= \
+  --trace-out="$tmp/t.json"
+expect_exit2 "dgcampaign run --filter=" \
+  "$dgcampaign" run "$smoke" --quiet --out="$tmp/out_dir" --filter=
+expect_exit2_silent "dgcampaign run --out=" \
+  "$dgcampaign" run "$smoke" --out=
 expect_exit2 "dgcampaign validate --threads=4" \
   "$dgcampaign" validate "$smoke" --threads=4
 expect_exit2 "dgcampaign list --quiet=1" \

@@ -9,8 +9,9 @@
 //     silently run the default configuration);
 //   - a flag the subcommand does not read;
 //   - a valued flag written without '=' (--phases, or "--out DIR", whose
-//     space form would misread DIR as a positional) or a switch given a
-//     value (--ablate=0);
+//     space form would misread DIR as a positional) or with nothing after
+//     it (--faults=, which a reader would take for an absent flag), or a
+//     switch given a value (--ablate=0);
 //   - a flag given twice (--n=16 --n=32).
 // Both CLIs exit 2 on any error.  The typed accessors parse strictly and
 // exit 2 naming the flag: integers are digits only and range-checked,
@@ -97,8 +98,10 @@ class Flags {
       } else if (!reads(*flag, command_)) {
         errors_.push_back("--" + key + " does not apply to the '" +
                           command_ + "' subcommand");
-      } else if (flag->takes_value && eq == std::string::npos) {
-        errors_.push_back("--" + key + " needs a value (--" + key + "=...)");
+      } else if (flag->takes_value &&
+                 (eq == std::string::npos || eq + 1 == arg.size())) {
+        errors_.push_back("--" + key + " needs a non-empty value (--" + key +
+                          "=...)");
       } else if (!flag->takes_value && eq != std::string::npos) {
         errors_.push_back("--" + key + " is a switch and takes no value; "
                           "got '" + arg + "'");
