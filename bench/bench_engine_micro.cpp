@@ -8,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "fault/plan.h"
 #include "graph/generators.h"
 #include "lb/simulation.h"
 #include "obs/registry.h"
@@ -113,6 +114,38 @@ void BM_EngineRoundSparse(benchmark::State& state) {
 BENCHMARK(BM_EngineRoundSparse)
     ->ArgsProduct({{4096, 65536}, {0, 1, 2}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
+
+// The Poisson fault plan alone, driven like the engine's fault stage, at
+// one network-wide rate (one crash per round, the spec's maximum, mean
+// repair 64 rounds) on n vertices.  Its per-round time should not grow
+// with n: the plan's work follows its events.
+void BM_PoissonFaultPlanRound(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  graph::DualGraph g(n);
+  g.finalize();
+  fault::PoissonFaultPlan plan(/*rate=*/1.0, /*mean_repair=*/64.0);
+  plan.bind(g, 99);
+  Bitmap crashed(n);
+  std::vector<fault::FaultEvent> events;
+  sim::Round round = 1;
+  std::int64_t event_count = 0;
+  for (auto _ : state) {
+    events.clear();
+    plan.plan_round(round++, crashed, events);
+    for (const fault::FaultEvent& ev : events) {
+      if (ev.kind == fault::FaultKind::kCrash) {
+        crashed.set(ev.vertex);
+      } else {
+        crashed.reset(ev.vertex);
+      }
+    }
+    event_count += static_cast<std::int64_t>(events.size());
+  }
+  state.counters["events_per_round"] = benchmark::Counter(
+      static_cast<double>(event_count) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_PoissonFaultPlanRound)->Arg(1024)->Arg(65536);
 
 void BM_SchedulerActive(benchmark::State& state) {
   const auto g = graph::grid(16, 16, 1.0, 1.5);

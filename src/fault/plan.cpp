@@ -73,6 +73,14 @@ void PoissonFaultPlan::plan_round(sim::Round round, const Bitmap& crashed,
   }
 }
 
+std::optional<sim::Round> PoissonFaultPlan::next_recovery() const {
+  std::optional<sim::Round> next;
+  for (sim::Round at : recover_at_) {
+    if (at != 0 && (!next || at < *next)) next = at;
+  }
+  return next;
+}
+
 // ---- RegionFaultPlan ----
 
 RegionFaultPlan::RegionFaultPlan(sim::Round round, graph::Vertex center,

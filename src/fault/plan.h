@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/dual_graph.h"
@@ -118,6 +119,9 @@ class PoissonFaultPlan final : public FaultPlan {
   void plan_round(sim::Round round, const Bitmap& crashed,
                   std::vector<FaultEvent>& out) override;
   const char* name() const noexcept override { return "poisson"; }
+
+  /// Round of the earliest scheduled recovery, if any.
+  std::optional<sim::Round> next_recovery() const;
 
  private:
   double rate_;

@@ -143,6 +143,31 @@ TEST(DeterminismGolden, LbStackUnderCrashRecoverChurn) {
       << "actual crashes: " << std::dec << sim.ledger().crashes;
 }
 
+TEST(DeterminismGolden, LbStackUnderAdversaryChurn) {
+  // The same execution under the k-crash adversary, which draws no random
+  // numbers: pins its target choice (fed by the ack stream) and its
+  // recovery schedule.
+  const auto g = graph::grid(6, 6, 1.0, 1.5);
+  lb::LbScales scales;
+  scales.ack_scale = 0.01;
+  const auto params =
+      lb::LbParams::calibrated(0.1, 1.5, g.delta(), g.delta_prime(), scales);
+  lb::LbSimulation sim(g, std::make_unique<BernoulliScheduler>(0.4), params,
+                       /*master_seed=*/2028);
+  DigestObserver digest;
+  sim.add_observer(&digest);
+  sim.keep_busy({0, 17, 35});
+  fault::AdversaryFaultPlan plan(/*k=*/2, /*period=*/24, /*repair=*/40);
+  sim.configure(EngineConfig{}.with_fault_plan(&plan));
+  sim.run_rounds(300);
+  EXPECT_EQ(digest.digest(), 0xfa103506cb14a8c3ULL)
+      << "actual digest: 0x" << std::hex << digest.digest();
+  EXPECT_EQ(sim.ledger().crashes, 24u)
+      << "actual crashes: " << std::dec << sim.ledger().crashes;
+  EXPECT_EQ(sim.ledger().recoveries, 20u)
+      << "actual recoveries: " << std::dec << sim.ledger().recoveries;
+}
+
 TEST(DeterminismGolden, CoinProcessesUnderFlicker) {
   const auto g = graph::bridged_clusters(8, 1.5);
   FlickerScheduler sched(7, 3);

@@ -5,11 +5,14 @@
 // traffic crash-requeue + re-admission), recovery re-initialization (the
 // recovered process acks again), spec-checker fault-window masking (clean
 // tallies never shrink; tainted windows land in the degradation ledger),
-// and the shared fault spec grammar.
+// the Poisson plan's crash and repair laws, and the shared fault spec
+// grammar.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -73,6 +76,144 @@ TEST(FaultPlan, PoissonScheduleIsSeedDeterministic) {
   EXPECT_GT(crashes, 0u);
   EXPECT_GT(recoveries, 0u);
   EXPECT_LE(recoveries, crashes);
+}
+
+// ---- the Poisson plan's law ----
+
+/// One Poisson run driven like the engine, checking every event against
+/// the plan's contract on the way: events carry their round and ascend by
+/// vertex, no up vertex recovers, no down vertex crashes again, and the
+/// earliest scheduled recovery fires exactly at its round (so, by
+/// induction, every one does).  Records per round the up count L at its
+/// start and its crashes, and the repair time of every crash of the first
+/// `horizon` rounds; the run goes on for `drain` more rounds so those
+/// repairs are seen (a repair past 40 means has probability e^-40).
+struct PoissonRun {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rounds;
+  std::vector<sim::Round> repairs;
+};
+
+PoissonRun drive_poisson(double rate, double mean_repair, std::size_t n,
+                         std::uint64_t seed, sim::Round horizon) {
+  const auto g = reliable_path(n);
+  fault::PoissonFaultPlan plan(rate, mean_repair);
+  plan.bind(g, seed);
+  Bitmap crashed(n);
+  std::vector<sim::Round> crashed_at(n, 0);
+  std::vector<fault::FaultEvent> events;
+  PoissonRun run;
+  const auto drain = static_cast<sim::Round>(40 * mean_repair);
+  for (sim::Round t = 1; t <= horizon + drain; ++t) {
+    const std::optional<sim::Round> due = plan.next_recovery();
+    EXPECT_TRUE(!due || *due >= t) << "overdue recovery at round " << t;
+    events.clear();
+    plan.plan_round(t, crashed, events);
+    const std::uint64_t up = n - crashed.count();
+    std::uint64_t crashes = 0;
+    bool recovered = false;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const fault::FaultEvent& ev = events[i];
+      EXPECT_EQ(ev.round, t);
+      if (i > 0) {
+        EXPECT_LT(events[i - 1].vertex, ev.vertex) << "round " << t;
+      }
+      if (ev.kind == fault::FaultKind::kCrash) {
+        EXPECT_FALSE(crashed.test(ev.vertex)) << "round " << t;
+        crashed_at[ev.vertex] = t;
+        ++crashes;
+      } else {
+        EXPECT_TRUE(crashed.test(ev.vertex)) << "round " << t;
+        if (crashed_at[ev.vertex] <= horizon) {
+          run.repairs.push_back(t - crashed_at[ev.vertex]);
+        }
+        recovered = true;
+      }
+    }
+    EXPECT_EQ(recovered, due && *due == t) << "round " << t;
+    for (const fault::FaultEvent& ev : events) {
+      if (ev.kind == fault::FaultKind::kCrash) {
+        crashed.set(ev.vertex);
+      } else {
+        crashed.reset(ev.vertex);
+      }
+    }
+    if (t <= horizon) run.rounds.emplace_back(up, crashes);
+  }
+  return run;
+}
+
+/// Crashes per round against Binomial(L, rate/n): the sums of the
+/// deviations X = c - Lp and of X^2 - Lpq are martingales, each checked
+/// within 5 sigma of zero.
+void expect_binomial_crashes(const PoissonRun& run, double p) {
+  const double q = 1.0 - p;
+  double dev = 0.0, dev_var = 0.0, sq = 0.0, sq_var = 0.0;
+  for (const auto& [up, crashes] : run.rounds) {
+    const auto L = static_cast<double>(up);
+    const double x = static_cast<double>(crashes) - L * p;
+    dev += x;
+    dev_var += L * p * q;
+    sq += x * x - L * p * q;
+    // Var(X^2) = mu4 - var^2 = Lpq + (2L^2 - 6L) p^2 q^2.
+    sq_var += L * p * q + (2 * L * L - 6 * L) * p * p * q * q;
+  }
+  EXPECT_GT(dev_var, 1000.0);  // enough crashes to mean something
+  EXPECT_LE(std::abs(dev), 5 * std::sqrt(dev_var)) << "mean";
+  EXPECT_LE(std::abs(sq), 5 * std::sqrt(sq_var)) << "variance";
+}
+
+/// Repair times against max(1, floor(Exp(mean))): the mean, and the
+/// frequencies of 1 round, 2 rounds and more than twice the mean, each
+/// within 5 sigma.
+void expect_floored_exponential(const std::vector<sim::Round>& repairs,
+                                double mean) {
+  const auto tail = static_cast<sim::Round>(2 * mean);
+  // P(d = 1) = P(Exp < 2); P(d = k) = P(k <= Exp < k + 1) for k >= 2.
+  const auto cdf = [&](double x) { return 1.0 - std::exp(-x / mean); };
+  double m1 = 0.0, m2 = 0.0;
+  for (sim::Round k = 1; k < static_cast<sim::Round>(60 * mean); ++k) {
+    const double pk = k == 1 ? cdf(2.0) : cdf(k + 1.0) - cdf(k);
+    m1 += static_cast<double>(k) * pk;
+    m2 += static_cast<double>(k * k) * pk;
+  }
+  const double N = static_cast<double>(repairs.size());
+  ASSERT_GT(N, 1000.0);
+  double sum = 0.0, ones = 0.0, twos = 0.0, long_ones = 0.0;
+  for (sim::Round d : repairs) {
+    ASSERT_GE(d, 1);
+    sum += static_cast<double>(d);
+    ones += d == 1;
+    twos += d == 2;
+    long_ones += d > tail;
+  }
+  EXPECT_LE(std::abs(sum / N - m1), 5 * std::sqrt((m2 - m1 * m1) / N))
+      << "mean repair";
+  const auto expect_freq = [&](double count, double prob, const char* what) {
+    EXPECT_LE(std::abs(count - N * prob), 5 * std::sqrt(N * prob * (1 - prob)))
+        << what;
+  };
+  expect_freq(ones, cdf(2.0), "P(d = 1)");
+  expect_freq(twos, cdf(3.0) - cdf(2.0), "P(d = 2)");
+  expect_freq(long_ones, 1.0 - cdf(static_cast<double>(tail) + 1.0),
+              "P(d > 2 mean)");
+}
+
+TEST(FaultPlan, PoissonCrashesAndRepairsFollowTheirLaws) {
+  // Dense churn (one vertex in eight crashes each round, about half the
+  // network down), then the campaign regime: one crash per round
+  // network-wide on 1000 vertices, whose last bitmap word is partial.
+  struct Case {
+    double rate, mean_repair;
+    std::size_t n;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{8.0, 6.0, 64, 11}, Case{1.0, 64.0, 1000, 12}}) {
+    SCOPED_TRACE(testing::Message() << "rate " << c.rate << " n " << c.n);
+    const PoissonRun run = drive_poisson(c.rate, c.mean_repair, c.n, c.seed,
+                                         /*horizon=*/20000);
+    expect_binomial_crashes(run, c.rate / static_cast<double>(c.n));
+    expect_floored_exponential(run.repairs, c.mean_repair);
+  }
 }
 
 TEST(FaultPlan, RegionKillsTheBallAndRecoversItTogether) {
