@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "util/assert.h"
 
@@ -35,6 +36,35 @@ void ScriptFaultPlan::plan_round(sim::Round round, const Bitmap& crashed,
   }
 }
 
+// ---- RecoveryCalendar ----
+
+void RecoveryCalendar::schedule(sim::Round round, graph::Vertex v) {
+  heap_.emplace_back(round, v);
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+std::optional<sim::Round> RecoveryCalendar::next() const {
+  if (heap_.empty()) return std::nullopt;
+  return heap_.front().first;
+}
+
+void RecoveryCalendar::pop_due(sim::Round round, const Bitmap& crashed,
+                               std::vector<FaultEvent>& out) {
+  const std::size_t first = out.size();
+  while (!heap_.empty() && heap_.front().first <= round) {
+    DG_ASSERT(crashed.test(heap_.front().second));
+    out.push_back({round, heap_.front().second, FaultKind::kRecover});
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+  }
+  // Entries from different rounds meet only when rounds were skipped;
+  // the heap already orders one round's entries by vertex.
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+            [](const FaultEvent& a, const FaultEvent& b) {
+              return a.vertex < b.vertex;
+            });
+}
+
 // ---- PoissonFaultPlan ----
 
 PoissonFaultPlan::PoissonFaultPlan(double rate, double mean_repair)
@@ -47,38 +77,52 @@ void PoissonFaultPlan::bind(const graph::DualGraph& g,
                             std::uint64_t master_seed) {
   DG_EXPECTS(g.size() > 0);
   per_vertex_prob_ = rate_ / static_cast<double>(g.size());
+  log_keep_ = std::log1p(-std::min(per_vertex_prob_, 1.0));
   rng_ = Rng(master_seed, kFaultStream);
-  recover_at_.assign(g.size(), 0);
+  calendar_.clear();
+  gap_ = draw_gap();
+}
+
+std::uint64_t PoissonFaultPlan::draw_gap() {
+  if (per_vertex_prob_ >= 1.0) return 0;  // every trial crashes
+  // floor(log(u) / log(1 - p)) with u in (0, 1] is Geometric(p): the
+  // number of failed trials before the first success.
+  const double u = 1.0 - rng_.uniform();
+  const double gap = std::floor(std::log(u) / log_keep_);
+  constexpr double kFar = 0x1p62;  // far past any round's trial count
+  return gap < kFar ? static_cast<std::uint64_t>(gap)
+                    : static_cast<std::uint64_t>(kFar);
 }
 
 void PoissonFaultPlan::plan_round(sim::Round round, const Bitmap& crashed,
                                   std::vector<FaultEvent>& out) {
-  const auto n = static_cast<graph::Vertex>(recover_at_.size());
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (crashed.test(v)) {
-      if (recover_at_[v] != 0 && recover_at_[v] <= round) {
-        out.push_back({round, v, FaultKind::kRecover});
-        recover_at_[v] = 0;
-      }
-      continue;
+  due_.clear();
+  calendar_.pop_due(round, crashed, due_);
+  // This round's n trials, ascending by vertex: skip `gap_` of them, then
+  // a success, which crashes its vertex unless that vertex is already down.
+  crashes_.clear();
+  const std::uint64_t n = crashed.size();
+  std::uint64_t left = n;  // trials left in this round
+  while (gap_ < left) {
+    const auto v = static_cast<graph::Vertex>(n - left + gap_);
+    left -= gap_ + 1;
+    if (!crashed.test(v)) {
+      crashes_.push_back({round, v, FaultKind::kCrash});
+      // Exponential repair time, floored to a whole round >= 1.  The clamp
+      // keeps -log(u) finite for the (measure-zero) u == 0 draw.
+      const double u = std::max(rng_.uniform(), 1e-12);
+      const double repair = -mean_repair_ * std::log(u);
+      calendar_.schedule(
+          round + std::max<sim::Round>(1, static_cast<sim::Round>(repair)), v);
     }
-    if (!rng_.chance(per_vertex_prob_)) continue;
-    out.push_back({round, v, FaultKind::kCrash});
-    // Exponential repair time, floored to a whole round >= 1.  The clamp
-    // keeps -log(u) finite for the (measure-zero) u == 0 draw.
-    const double u = std::max(rng_.uniform(), 1e-12);
-    const double repair = -mean_repair_ * std::log(u);
-    recover_at_[v] =
-        round + std::max<sim::Round>(1, static_cast<sim::Round>(repair));
+    gap_ = draw_gap();
   }
-}
-
-std::optional<sim::Round> PoissonFaultPlan::next_recovery() const {
-  std::optional<sim::Round> next;
-  for (sim::Round at : recover_at_) {
-    if (at != 0 && (!next || at < *next)) next = at;
-  }
-  return next;
+  gap_ -= left;
+  std::merge(due_.begin(), due_.end(), crashes_.begin(), crashes_.end(),
+             std::back_inserter(out),
+             [](const FaultEvent& a, const FaultEvent& b) {
+               return a.vertex < b.vertex;
+             });
 }
 
 // ---- RegionFaultPlan ----
@@ -143,7 +187,7 @@ void AdversaryFaultPlan::bind(const graph::DualGraph& g,
                               std::uint64_t master_seed) {
   (void)master_seed;
   progress_.assign(g.size(), 0);
-  recover_at_.assign(g.size(), 0);
+  calendar_.clear();
 }
 
 void AdversaryFaultPlan::note_progress(graph::Vertex v) {
@@ -153,20 +197,16 @@ void AdversaryFaultPlan::note_progress(graph::Vertex v) {
 
 void AdversaryFaultPlan::plan_round(sim::Round round, const Bitmap& crashed,
                                     std::vector<FaultEvent>& out) {
-  const auto n = static_cast<graph::Vertex>(progress_.size());
-  for (graph::Vertex v = 0; v < n; ++v) {
-    if (recover_at_[v] != 0 && recover_at_[v] <= round) {
-      out.push_back({round, v, FaultKind::kRecover});
-      recover_at_[v] = 0;
-    }
-  }
+  calendar_.pop_due(round, crashed, out);
   if (round % period_ != 0) return;
   // The k up vertices with the most acks; ties toward the lower vertex
   // (stable under the ascending scan), so the choice is a pure function of
   // the execution so far -- seed-deterministic like the adaptive jammer.
+  // A vertex with a scheduled recovery is still down in `crashed`.
+  const auto n = static_cast<graph::Vertex>(progress_.size());
   std::vector<graph::Vertex> targets;
   for (graph::Vertex v = 0; v < n; ++v) {
-    if (!crashed.test(v) && recover_at_[v] == 0) targets.push_back(v);
+    if (!crashed.test(v)) targets.push_back(v);
   }
   const std::size_t k = std::min<std::size_t>(targets.size(),
                                               static_cast<std::size_t>(k_));
@@ -179,7 +219,7 @@ void AdversaryFaultPlan::plan_round(sim::Round round, const Bitmap& crashed,
                     });
   for (std::size_t i = 0; i < k; ++i) {
     out.push_back({round, targets[i], FaultKind::kCrash});
-    recover_at_[targets[i]] = round + repair_;
+    calendar_.schedule(round + repair_, targets[i]);
   }
 }
 

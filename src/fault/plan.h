@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "graph/dual_graph.h"
@@ -107,10 +108,43 @@ class ScriptFaultPlan final : public FaultPlan {
   std::size_t next_ = 0;            ///< first event not yet emitted
 };
 
+/// Scheduled recoveries: a min-heap on (round, vertex).  A round pops what
+/// falls due, so a plan's recovery work scales with its recoveries instead
+/// of scanning all n vertices.
+class RecoveryCalendar {
+ public:
+  void clear() noexcept { heap_.clear(); }
+  void schedule(sim::Round round, graph::Vertex v);
+  /// Round of the earliest scheduled recovery, if any.
+  std::optional<sim::Round> next() const;
+  /// Removes every entry due by `round` and appends its kRecover event,
+  /// stamped `round`, ascending by vertex.  Each such vertex must still be
+  /// down in `crashed`.
+  void pop_due(sim::Round round, const Bitmap& crashed,
+               std::vector<FaultEvent>& out);
+
+ private:
+  std::vector<std::pair<sim::Round, graph::Vertex>> heap_;
+};
+
 /// Memoryless churn: each up vertex crashes with probability rate/n per
 /// round (so `rate` is the expected network-wide crash arrivals per round,
 /// mirroring the poisson traffic spec), and each crash draws an
-/// exponential repair time with the given mean (>= 1 round).
+/// exponential repair time with the given mean, floored to whole rounds
+/// (at least 1).
+///
+/// The plan runs one Bernoulli(rate/n) trial per (round, vertex) pair,
+/// round by round and ascending by vertex within a round; a success on a
+/// vertex that is already down is void, so each up vertex still crashes
+/// independently with probability rate/n.  Rather than a coin per trial it
+/// draws the geometric gap to the next success, and it keeps recoveries in
+/// a RecoveryCalendar.  A round therefore costs O(1 + rate + events *
+/// log(down vertices)), whatever n is.
+///
+/// Event order: within a round, events ascend by vertex, crashes and
+/// recoveries interleaved.  A vertex that recovers in a round is not a
+/// crash candidate in that round, and a crash is never repaired in the
+/// round it happens.
 class PoissonFaultPlan final : public FaultPlan {
  public:
   PoissonFaultPlan(double rate, double mean_repair);
@@ -121,14 +155,21 @@ class PoissonFaultPlan final : public FaultPlan {
   const char* name() const noexcept override { return "poisson"; }
 
   /// Round of the earliest scheduled recovery, if any.
-  std::optional<sim::Round> next_recovery() const;
+  std::optional<sim::Round> next_recovery() const { return calendar_.next(); }
 
  private:
+  /// Failed trials before the next success: Geometric(rate/n) on the
+  /// 0xFA17 stream.
+  std::uint64_t draw_gap();
+
   double rate_;
   double mean_repair_;
   double per_vertex_prob_ = 0.0;
+  double log_keep_ = 0.0;  ///< log(1 - rate/n)
   Rng rng_{0};
-  std::vector<sim::Round> recover_at_;  ///< 0 = not scheduled
+  std::uint64_t gap_ = 0;  ///< trials left before the next success
+  RecoveryCalendar calendar_;
+  std::vector<FaultEvent> due_, crashes_;  ///< per-round scratch
 };
 
 /// Correlated region kill: at `round`, every vertex within `radius` G-hops
@@ -154,7 +195,9 @@ class RegionFaultPlan final : public FaultPlan {
 
 /// k-crash adversary: every `period` rounds it crashes the k up vertices
 /// with the most protocol progress (acks fed via note_progress; ties break
-/// toward the lower vertex), each recovering `repair` rounds later.
+/// toward the lower vertex), each recovering `repair` rounds later.  The
+/// target scan is O(n) on attack rounds only; recoveries come off a
+/// RecoveryCalendar.
 /// Seed-deterministic like the adaptive jammer -- and, like it, strictly
 /// stronger than the paper's oblivious model: it reacts to the execution.
 class AdversaryFaultPlan final : public FaultPlan {
@@ -172,7 +215,7 @@ class AdversaryFaultPlan final : public FaultPlan {
   sim::Round period_;
   sim::Round repair_;
   std::vector<std::uint64_t> progress_;
-  std::vector<sim::Round> recover_at_;
+  RecoveryCalendar calendar_;
 };
 
 }  // namespace dg::fault
