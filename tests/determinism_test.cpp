@@ -137,9 +137,9 @@ TEST(DeterminismGolden, LbStackUnderCrashRecoverChurn) {
   fault::PoissonFaultPlan plan(/*rate=*/0.1, /*mean_repair=*/48.0);
   sim.configure(EngineConfig{}.with_fault_plan(&plan));
   sim.run_rounds(300);
-  EXPECT_EQ(digest.digest(), 0x8909aab9fbb1cb6dULL)
+  EXPECT_EQ(digest.digest(), 0x32e684701c9b8719ULL)
       << "actual digest: 0x" << std::hex << digest.digest();
-  EXPECT_EQ(sim.ledger().crashes, 18u)
+  EXPECT_EQ(sim.ledger().crashes, 30u)
       << "actual crashes: " << std::dec << sim.ledger().crashes;
 }
 
@@ -243,9 +243,9 @@ TEST(DeterminismGoldenSharded, LbStackUnderCrashRecoverChurn) {
   fault::PoissonFaultPlan plan(/*rate=*/0.1, /*mean_repair=*/48.0);
   sim.configure(EngineConfig{}.with_fault_plan(&plan));
   sim.run_rounds(300);
-  EXPECT_EQ(digest.digest(), 0x8909aab9fbb1cb6dULL)
+  EXPECT_EQ(digest.digest(), 0x32e684701c9b8719ULL)
       << "actual digest: 0x" << std::hex << digest.digest();
-  EXPECT_EQ(sim.ledger().crashes, 18u)
+  EXPECT_EQ(sim.ledger().crashes, 30u)
       << "actual crashes: " << std::dec << sim.ledger().crashes;
 }
 

@@ -655,18 +655,18 @@ TEST(EngineDenseGolden, LbStackMatrix) {
   const Golden want[] = {
       // grid: poisson, burst, hotspot x no-faults, faults
       {1902, 0xd3a45aeb8da6c1aeULL, 0x9074a66b36f6e0fdULL},
-      {1792, 0xfaeb287ae9f36b18ULL, 0xf7d0b55d179b7826ULL},
+      {1751, 0x93389979d5160dc4ULL, 0xc5fc62ba9a401a3fULL},
       {1878, 0x36545f22dd3b1137ULL, 0xaabb28f2a755c69bULL},
-      {1781, 0xe0f75e45160a8d31ULL, 0xa7fe19987b01d3ceULL},
+      {1732, 0x28c7e108f9bb7191ULL, 0x75eb5cdf9efbd535ULL},
       {1867, 0xb12e25e2c53d566cULL, 0xfbe992d810c8e91aULL},
-      {1770, 0xcc950a01877b5f2aULL, 0x36e1190875ed4b52ULL},
+      {1729, 0x0e91a2788001ec08ULL, 0x49625475bf0d8821ULL},
       // geometric: poisson, burst, hotspot x no-faults, faults
       {6895, 0x75b6cfe6872dd197ULL, 0x23f249828ee83dccULL},
-      {6004, 0xe2b80d82d52951cbULL, 0x2e8afed5cb135666ULL},
+      {6359, 0x2c03ea93d5ffb177ULL, 0x946d37aabea7354dULL},
       {5954, 0xf95aff050b0bfbf6ULL, 0xe6da288d6af83eefULL},
-      {5321, 0x696b2fcf5849ff18ULL, 0xe1307495843eb776ULL},
+      {5525, 0xdc59e683db8d27a6ULL, 0xba4f9b93a3d03dd9ULL},
       {6278, 0x1c12781335f96d33ULL, 0x4b2125f5302914c9ULL},
-      {5668, 0xca1c81b4bffc6891ULL, 0x66e482a9f74a3b0dULL},
+      {5792, 0x84bc61e7ce38b394ULL, 0xa330847a60402a79ULL},
   };
 
   std::size_t index = 0;
