@@ -140,6 +140,7 @@ void BM_PoissonFaultPlanRound(benchmark::State& state) {
       }
     }
     event_count += static_cast<std::int64_t>(events.size());
+    benchmark::DoNotOptimize(events.data());
   }
   state.counters["events_per_round"] = benchmark::Counter(
       static_cast<double>(event_count) /

@@ -50,19 +50,12 @@ std::optional<sim::Round> RecoveryCalendar::next() const {
 
 void RecoveryCalendar::pop_due(sim::Round round, const Bitmap& crashed,
                                std::vector<FaultEvent>& out) {
-  const std::size_t first = out.size();
   while (!heap_.empty() && heap_.front().first <= round) {
     DG_ASSERT(crashed.test(heap_.front().second));
     out.push_back({round, heap_.front().second, FaultKind::kRecover});
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
     heap_.pop_back();
   }
-  // Entries from different rounds meet only when rounds were skipped;
-  // the heap already orders one round's entries by vertex.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-            [](const FaultEvent& a, const FaultEvent& b) {
-              return a.vertex < b.vertex;
-            });
 }
 
 // ---- PoissonFaultPlan ----
@@ -84,9 +77,8 @@ void PoissonFaultPlan::bind(const graph::DualGraph& g,
 }
 
 std::uint64_t PoissonFaultPlan::draw_gap() {
-  if (per_vertex_prob_ >= 1.0) return 0;  // every trial crashes
   // floor(log(u) / log(1 - p)) with u in (0, 1] is Geometric(p): the
-  // number of failed trials before the first success.
+  // number of failed trials before the first success (always 0 at p = 1).
   const double u = 1.0 - rng_.uniform();
   const double gap = std::floor(std::log(u) / log_keep_);
   constexpr double kFar = 0x1p62;  // far past any round's trial count

@@ -118,8 +118,9 @@ class RecoveryCalendar {
   /// Round of the earliest scheduled recovery, if any.
   std::optional<sim::Round> next() const;
   /// Removes every entry due by `round` and appends its kRecover event,
-  /// stamped `round`, ascending by vertex.  Each such vertex must still be
-  /// down in `crashed`.
+  /// stamped `round`, in (due round, vertex) order: ascending by vertex
+  /// when called every round.  Each such vertex must still be down in
+  /// `crashed`.
   void pop_due(sim::Round round, const Bitmap& crashed,
                std::vector<FaultEvent>& out);
 
