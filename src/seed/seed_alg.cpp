@@ -1,5 +1,6 @@
 #include "seed/seed_alg.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.h"
@@ -74,6 +75,28 @@ void SeedAlgRunner::step_receive(const std::optional<sim::Packet>& packet) {
   // has been processed: a node can still adopt a seed heard in the very
   // last round.
   maybe_finish();
+}
+
+int SeedAlgRunner::quiet_rounds() const noexcept {
+  const int left = params_.total_rounds() - step_;
+  switch (status_) {
+    case Status::leader:
+      return 0;
+    case Status::inactive:
+      return left;
+    case Status::active:
+      if (round_in_phase_ == 0) return 0;  // the next round draws a coin
+      return std::min(params_.phase_length - round_in_phase_, left - 1);
+  }
+  return 0;
+}
+
+void SeedAlgRunner::skip(int k) {
+  DG_EXPECTS(k >= 0 && k <= quiet_rounds());
+  step_ += k;
+  const int in_phase = round_in_phase_ + k;
+  phase_index_ += in_phase / params_.phase_length;
+  round_in_phase_ = in_phase % params_.phase_length;
 }
 
 void SeedAlgRunner::maybe_finish() {

@@ -76,6 +76,20 @@ class SeedAlgRunner {
   bool done() const noexcept { return step_ >= params_.total_rounds(); }
   int steps_taken() const noexcept { return step_; }
 
+  /// Number of coming rounds this runner is sure to spend quiet, provided
+  /// it hears only nulls: no transmission, no coin, no state change beyond
+  /// the round cursor.  A leader draws a broadcast coin every round (0).
+  /// An inactive runner is quiet for the rest of the preamble.  An active
+  /// runner is quiet up to, but not including, its next phase-start coin
+  /// round, and never through the final round, whose reception takes the
+  /// default decision.
+  int quiet_rounds() const noexcept;
+
+  /// Advances the round cursor past k quiet rounds, exactly as k
+  /// step_transmit() / step_receive(nullopt) pairs would.  k must not
+  /// exceed quiet_rounds().
+  void skip(int k);
+
   /// The decision, once made (leaders decide at phase start; listeners on
   /// first reception; everyone by the end of the last phase).
   const std::optional<SeedDecision>& decision() const noexcept {
@@ -111,13 +125,17 @@ class SeedProcess final : public sim::Process {
   void receive(const std::optional<sim::Packet>& packet,
                sim::RoundContext& ctx) override;
 
-  /// Sparse-round consent: once the runner is done the process idles
-  /// forever (transmit() always nullopt, no coins, receptions ignored), so
-  /// it promises an effectively unbounded silent horizon.  The catch-up
-  /// side is a no-op -- the done state is absorbing and carries no cursor.
+  /// Sparse-round consent, the same quiet rule as LbProcess's preamble:
+  /// while the runner is running, its SeedAlgRunner::quiet_rounds() window,
+  /// and a catch-up skips the runner's cursor.  Once the runner is done the
+  /// process idles forever (transmit() always nullopt, no coins, receptions
+  /// ignored), so it promises an effectively unbounded silent horizon; the
+  /// done state is absorbing and carries no cursor.
   std::int64_t silent_steps(std::int64_t k) override {
-    (void)k;
-    if (!runner_.done()) return 0;
+    if (!runner_.done()) {
+      if (k > 0) runner_.skip(static_cast<int>(k));
+      if (!runner_.done()) return runner_.quiet_rounds();
+    }
     return std::numeric_limits<std::int64_t>::max() / 2;
   }
 

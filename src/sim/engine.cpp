@@ -566,7 +566,7 @@ void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
     m_rounds_ = m_tx_ = m_delivered_ = m_collisions_ = m_silent_ = nullptr;
     m_crashes_ = m_recoveries_ = nullptr;
     m_dispatch_serial_ = m_dispatch_sharded_ = m_pool_jobs_ = nullptr;
-    m_active_blocks_ = nullptr;
+    m_active_blocks_ = m_unparked_words_ = nullptr;
     m_tx_per_round_ = nullptr;
     return;
   }
@@ -595,6 +595,10 @@ void Engine::apply_telemetry(obs::Registry* registry, obs::TraceSink* sink) {
   // count's unit); a dispatch cost, so also timing-domain.
   m_active_blocks_ =
       &registry->counter("engine.active_blocks", Domain::kTiming);
+  // Words with an unparked vertex (the output_flush tally the shard guard
+  // reads), summed over rounds.
+  m_unparked_words_ =
+      &registry->counter("engine.unparked.words", Domain::kTiming);
   registry->gauge("engine.round_threads", Domain::kTiming) =
       static_cast<double>(round_threads_);
   registry->gauge("engine.vertices", Domain::kLogical) =
@@ -790,8 +794,9 @@ void Engine::run_pipeline(std::size_t block_size) {
       run_group(group, rs, processes_.size(), 1);
     }
   }
-  shard_work_ =
-      unparked_words_.load(std::memory_order_relaxed) + active_words_.size();
+  const std::size_t unparked = unparked_words_.load(std::memory_order_relaxed);
+  shard_work_ = unparked + active_words_.size();
+  if (m_unparked_words_ != nullptr) *m_unparked_words_ += unparked;
 
   for (Observer* obs : obs_round_end_) {
     obs->on_round_end(t);

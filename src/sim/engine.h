@@ -313,6 +313,7 @@ class Engine {
   std::uint64_t* m_dispatch_sharded_ = nullptr;
   std::uint64_t* m_pool_jobs_ = nullptr;
   std::uint64_t* m_active_blocks_ = nullptr;  ///< counts frontier words
+  std::uint64_t* m_unparked_words_ = nullptr;  ///< counts stepped words
   obs::Registry::Histogram* m_tx_per_round_ = nullptr;
   /// This round's verdict totals, summed over the compute blocks.
   struct VerdictTally {

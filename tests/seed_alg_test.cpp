@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 
 #include "seed/seed_alg.h"
 #include "sim/packet.h"
@@ -213,6 +215,114 @@ TEST(SeedAlgRunner, LeaderBroadcastsItsOwnSeed) {
       }
     }
   }
+}
+
+// ---- quiet windows (SeedAlgRunner::quiet_rounds / skip) ----
+
+SeedAlgParams raw_params(int num_phases, int phase_length) {
+  SeedAlgParams p;
+  p.num_phases = num_phases;
+  p.phase_length = phase_length;
+  p.broadcast_prob = 0.5;
+  return p;
+}
+
+/// One round of a runner: transmit, and receive `heard` iff it listened.
+void step_round(SeedAlgRunner& runner, Rng& rng,
+                const std::optional<sim::Packet>& heard) {
+  if (!runner.step_transmit(rng).has_value()) runner.step_receive(heard);
+}
+
+TEST(SeedAlgRunner, SkippingQuietWindowsMatchesStepping) {
+  // Differential: runner A is stepped every round; runner B, on an
+  // identical stream, skips every window it promises, the way the engine
+  // parks a vertex -- except that a seed delivery inside a window wakes it
+  // at that round (skip up to it, then a real step).  Both hear the same
+  // receptions and must end in the same state.  Every window's edges are
+  // checked as it is promised.
+  const SeedAlgParams param_sets[] = {
+      raw_params(1, 1),  raw_params(1, 6), raw_params(4, 1),
+      raw_params(3, 2),  raw_params(2, 7), SeedAlgParams::make(0.25, 16),
+      SeedAlgParams::make(0.1, 8, 1.0)};
+  std::int64_t windows = 0, skipped = 0;
+  for (const SeedAlgParams& params : param_sets) {
+    const int total = params.total_rounds();
+    const int len = params.phase_length;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+      // A seed is delivered at one round in three trials out of four
+      // (seeds 0 mod 4 hear only nulls).
+      const int deliver_at =
+          seed % 4 == 0 ? -1 : static_cast<int>((seed * 7919) % total);
+      const auto heard = [&](int round) {
+        return round == deliver_at
+                   ? std::optional<sim::Packet>(seed_packet(9, 0xabc))
+                   : std::nullopt;
+      };
+      Rng rng_a(seed), rng_b(seed);
+      SeedAlgRunner a(params, 1, rng_a), b(params, 1, rng_b);
+      for (int round = 0; round < total; ++round) {
+        step_round(a, rng_a, heard(round));
+      }
+      while (!b.done()) {
+        step_round(b, rng_b, heard(b.steps_taken()));
+        const int next = b.steps_taken();  // first round of the window
+        const int q = b.quiet_rounds();
+        ASSERT_GE(q, 0);
+        ASSERT_LE(q, total - next);
+        if (b.status() == SeedStatus::leader) {
+          EXPECT_EQ(q, 0);
+        }
+        if (b.status() == SeedStatus::active && q > 0) {
+          for (int r = next; r < next + q; ++r) {
+            EXPECT_NE(r % len, 0) << "window covers a phase-start round";
+          }
+          EXPECT_LT(next + q - 1, total - 1)
+              << "window covers the final preamble round";
+        }
+        int k = q;
+        if (deliver_at >= next && deliver_at < next + q) {
+          k = deliver_at - next;  // woken by the delivery
+        }
+        b.skip(k);
+        windows += q > 0;
+        skipped += k;
+      }
+      ASSERT_EQ(a.steps_taken(), b.steps_taken());
+      EXPECT_EQ(a.status(), b.status());
+      ASSERT_EQ(a.decision().has_value(), b.decision().has_value());
+      EXPECT_EQ(a.decision()->owner, b.decision()->owner);
+      EXPECT_EQ(a.decision()->seed_value, b.decision()->seed_value);
+      EXPECT_EQ(a.decision()->by_default, b.decision()->by_default);
+      EXPECT_EQ(a.decision()->as_leader, b.decision()->as_leader);
+      EXPECT_EQ(rng_a.bits(), rng_b.bits()) << "rng streams diverged";
+    }
+  }
+  EXPECT_GT(windows, 1000);
+  EXPECT_GT(skipped, windows);
+}
+
+TEST(SeedAlgRunner, QuietWindowsByStatus) {
+  // 3 phases of 4 rounds.  An inactive runner is quiet through the end of
+  // the preamble; an active one up to its next phase start, and never
+  // through the final round.
+  const auto params = raw_params(3, 4);
+  Rng rng(41);
+  SeedAlgRunner runner(params, 1, rng);
+  EXPECT_EQ(runner.quiet_rounds(), 0);  // round 0 draws the election coin
+  step_round(runner, rng, std::nullopt);
+  if (runner.status() != SeedStatus::active) {
+    GTEST_SKIP() << "node elected itself in this trial";
+  }
+  EXPECT_EQ(runner.quiet_rounds(), 3);  // rounds 1..3 of phase 1
+  runner.skip(2);
+  EXPECT_EQ(runner.steps_taken(), 3);
+  EXPECT_EQ(runner.quiet_rounds(), 1);
+  step_round(runner, rng, seed_packet(5, 6));  // hears a seed in round 3
+  ASSERT_EQ(runner.status(), SeedStatus::inactive);
+  EXPECT_EQ(runner.quiet_rounds(), params.total_rounds() - 4);
+  runner.skip(runner.quiet_rounds());
+  EXPECT_TRUE(runner.done());
+  EXPECT_EQ(runner.decision()->owner, 5u);
 }
 
 TEST(SeedAlgRunner, InitialSeedsAreIndependentDraws) {
