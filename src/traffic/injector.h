@@ -19,13 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "sim/packet.h"
+#include "traffic/index_fifo.h"
 #include "traffic/source.h"
 
 namespace dg::traffic {
@@ -177,7 +177,7 @@ class Injector {
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   std::size_t capacity_ = 0;
 
-  std::vector<std::deque<std::size_t>> queues_;  ///< record indices, FIFO
+  std::vector<IndexFifo> queues_;  ///< record indices, FIFO
   /// Vertices whose queue is non-empty (each exactly once, in
   /// empty->non-empty transition order).  The admission and depth-sample
   /// steps iterate this instead of all n queues, so a round costs
