@@ -34,20 +34,6 @@ void PhaseProfiler::begin_round(std::int64_t round) {
   round_start_ = Clock::now();
 }
 
-void PhaseProfiler::phase_begin(std::size_t slot) {
-  DG_ASSERT(slot < current_.size());
-  (void)slot;
-  phase_start_ = Clock::now();
-}
-
-void PhaseProfiler::phase_end(std::size_t slot) {
-  DG_ASSERT(slot < current_.size());
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      Clock::now() - phase_start_)
-                      .count();
-  current_[slot] += static_cast<std::uint64_t>(ns);
-}
-
 void PhaseProfiler::add_phase_ns(std::size_t slot, std::uint64_t ns) {
   DG_ASSERT(slot < current_.size());
   current_[slot] += ns;

@@ -3,9 +3,9 @@
 // The engine owns one profiler per installed telemetry registry and
 // registers one timing slot per pipeline stage (register_stage), in
 // pipeline order, so spliced stages get per-stage timers automatically;
-// run_pipeline brackets each serial stage with ScopedPhase guards on its
-// slot, and splits a fused block pass between its stages' slots by their
-// measured shares (add_phase_ns).
+// the engine times each group of stages as a whole and splits its wall
+// clock between the stages' slots by their measured shares
+// (add_phase_ns).
 // end_round() folds the measured nanoseconds into TIMING-domain registry
 // counters/histograms and emits one round slice (with nested stage
 // slices) into the trace sink.  Everything here is wall clock, so nothing
@@ -41,10 +41,8 @@ class PhaseProfiler {
   }
 
   void begin_round(std::int64_t round);
-  void phase_begin(std::size_t slot);
-  void phase_end(std::size_t slot);
-  /// Adds `ns` to the slot's current round without a bracket: a stage's
-  /// share of a block pass it ran in together with other stages.
+  /// Adds `ns` to the slot's current round: a stage's share of the group
+  /// it ran in.
   void add_phase_ns(std::size_t slot, std::uint64_t ns);
   /// Nanoseconds spent inside thread-pool dispatches this round (the
   /// utilization numerator; the round total is the denominator).
@@ -70,29 +68,9 @@ class PhaseProfiler {
 
   std::int64_t round_ = 0;
   Clock::time_point round_start_{};
-  Clock::time_point phase_start_{};
   std::vector<std::uint64_t> current_;
   std::vector<std::uint64_t> last_;
   std::uint64_t current_parallel_ns_ = 0;
-};
-
-/// RAII stage bracket that is a no-op on a null profiler, so the engine's
-/// round loop stays branch-light when telemetry is off.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseProfiler* profiler, std::size_t slot)
-      : profiler_(profiler), slot_(slot) {
-    if (profiler_ != nullptr) profiler_->phase_begin(slot_);
-  }
-  ~ScopedPhase() {
-    if (profiler_ != nullptr) profiler_->phase_end(slot_);
-  }
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseProfiler* profiler_;
-  std::size_t slot_;
 };
 
 }  // namespace dg::obs

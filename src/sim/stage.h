@@ -29,9 +29,11 @@
 //                 run_block(), such as compute's per-block verdict
 //                 tally, is timed with the stage)
 //
-// Profiling: prologue(), replay() and epilogue() are timed into the
-// stage's own row; a group's block pass is timed as a whole and split
-// between its stages' rows by each stage's measured share of the blocks.
+// Profiling: each stage's prologue(), replay() and epilogue() and its
+// segment of every block are timed; a group is timed as a whole (less its
+// after_phase() folds) and split between its stages' rows by those
+// measured shares, a pass's wall clock counting for each stage by its
+// share of the blocks.
 //
 // Core stages are friends of the Engine (defined in sim/engine.cpp);
 // spliced stages (sim/splice.h) see only this RoundState view.

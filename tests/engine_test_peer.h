@@ -3,6 +3,9 @@
 
 #include <cstddef>
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "sim/engine.h"
 
@@ -18,6 +21,16 @@ struct EngineTestPeer {
   static void always_shard(Engine& engine) {
     engine.shard_min_words_ = 0;
     engine.pool_cap_ = std::numeric_limits<std::size_t>::max();
+  }
+
+  /// Inserts a test-only stage after the named anchor stage (and any
+  /// splices chained behind it), bypassing the splice validator, and gives
+  /// it a profiler row when telemetry is installed.  The stage must
+  /// declare its slabs and vertex-disjointness truthfully.
+  static void insert_stage(Engine& engine, const std::string& anchor,
+                           std::unique_ptr<RoundStage> stage) {
+    engine.pipeline_.insert_after(anchor, std::move(stage));
+    if (engine.registry_ != nullptr) engine.rebuild_profiler();
   }
 
   /// The installed RoundHooks, so a test can chain a recorder in front.
