@@ -139,6 +139,14 @@ class SeedProcess final : public sim::Process {
     return std::numeric_limits<std::int64_t>::max() / 2;
   }
 
+  /// Deaf promises (sim/process.h): an inactive runner ignores what it
+  /// hears, and so does a done one (it has decided).  An active listener
+  /// is never deaf: the first seed it hears decides it.
+  bool deaf() const override {
+    if (runner_.done()) return runner_.decision().has_value();
+    return runner_.status() == SeedStatus::inactive;
+  }
+
   /// All state lives in the per-vertex runner; no outbound callbacks.
   bool shard_safe() const override { return true; }
 

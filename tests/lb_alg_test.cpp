@@ -258,6 +258,112 @@ TEST(LbProcess, PreamblePromisesFollowTheSeedRunner) {
   EXPECT_GT(inactive, 0);
 }
 
+/// Logs every ack/recv output as one line.
+class OutputLog final : public LbListener {
+ public:
+  void on_ack(graph::Vertex v, const sim::MessageId& m,
+              sim::Round round) override {
+    lines.push_back("ack " + std::to_string(v) + ' ' + key(m) + ' ' +
+                    std::to_string(round));
+  }
+  void on_recv(graph::Vertex v, const sim::MessageId& m, std::uint64_t content,
+               sim::Round round) override {
+    lines.push_back("recv " + std::to_string(v) + ' ' + key(m) + ' ' +
+                    std::to_string(content) + ' ' + std::to_string(round));
+  }
+  std::vector<std::string> lines;
+
+ private:
+  static std::string key(const sim::MessageId& m) {
+    return std::to_string(m.origin) + ':' + std::to_string(m.seq);
+  }
+};
+
+/// A random seed or data packet from one of a few foreign origins.
+sim::Packet random_packet(Rng& rng) {
+  const sim::ProcessId origin = 900 + rng.below(4);
+  if (rng.chance(0.5)) {
+    return sim::Packet{origin, sim::SeedPayload{origin, rng.bits()}};
+  }
+  return sim::Packet{
+      origin,
+      sim::DataPayload{
+          sim::MessageId{origin, static_cast<std::uint32_t>(rng.below(50))},
+          rng.bits()}};
+}
+
+TEST(LbProcess, DeafWindowsIgnoreEveryPacket) {
+  // Two copies of each process, stepped by hand every round with the same
+  // inputs, bcasts, crashes and coins, except inside a deaf promise
+  // (sim::Process::deaf): there one copy hears null and the other a random
+  // seed or data packet.  Every later transmit, seed, promise and output
+  // must still agree.  Outside deaf windows both hear the same random
+  // traffic, so listeners decide, recv and ack as in a network.
+  const auto params = small_params(5, 5, /*ack_scale=*/0.001);
+  const std::int64_t rounds = 3 * params.group_length();
+  std::uint64_t deaf_rounds = 0, fed_packets = 0;
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    OutputLog log_a, log_b;
+    LbProcess a(params, 100 + v, static_cast<graph::Vertex>(v), &log_a);
+    LbProcess b(params, 100 + v, static_cast<graph::Vertex>(v), &log_b);
+    Rng rng_a(/*seed=*/71, v), rng_b(/*seed=*/71, v), env(/*seed=*/72, v);
+    sim::Round deaf_until = 0, down_until = 0;
+    for (sim::Round t = 1; t <= rounds; ++t) {
+      if (t < down_until) continue;  // crashed: no calls at all
+      if (t == down_until) {
+        a.on_recover(t);
+        b.on_recover(t);
+      } else if (env.chance(0.004)) {
+        a.on_crash(t);
+        b.on_crash(t);
+        down_until = t + 1 + static_cast<sim::Round>(env.below(40));
+        deaf_until = 0;
+        continue;
+      }
+      if (!a.busy() && env.chance(0.02)) {
+        ASSERT_EQ(a.post_bcast(t), b.post_bcast(t));
+      }
+      sim::RoundContext ctx_a(t, rng_a), ctx_b(t, rng_b);
+      const auto sent_a = a.transmit(ctx_a);
+      const auto sent_b = b.transmit(ctx_b);
+      ASSERT_EQ(sent_a.has_value(), sent_b.has_value()) << "round " << t;
+      if (!sent_a.has_value()) {
+        std::optional<sim::Packet> heard;
+        if (env.chance(0.1)) heard = random_packet(env);
+        if (t <= deaf_until) {
+          ++deaf_rounds;
+          a.receive(std::nullopt, ctx_a);
+          b.receive(random_packet(env), ctx_b);
+          ++fed_packets;
+        } else {
+          a.receive(heard, ctx_a);
+          b.receive(heard, ctx_b);
+        }
+      }
+      a.end_round(ctx_a);
+      b.end_round(ctx_b);
+      const std::int64_t promise = a.silent_steps(0);
+      ASSERT_EQ(promise, b.silent_steps(0)) << "round " << t;
+      ASSERT_EQ(a.deaf(), b.deaf()) << "round " << t;
+      if (promise > 0 && a.deaf()) {
+        deaf_until = std::max(deaf_until, t + promise);
+      }
+      ASSERT_EQ(a.phase_seed().has_value(), b.phase_seed().has_value());
+      if (a.phase_seed().has_value()) {
+        ASSERT_EQ(a.phase_seed()->seed_value, b.phase_seed()->seed_value)
+            << "vertex " << v << " round " << t;
+      }
+      ASSERT_EQ(a.preamble_status(), b.preamble_status())
+          << "vertex " << v << " round " << t;
+      ASSERT_EQ(rng_a.bits(), rng_b.bits()) << "coins, round " << t;
+    }
+    EXPECT_EQ(log_a.lines, log_b.lines) << "vertex " << v;
+    EXPECT_GT(a.messages_received(), 0u) << "vertex " << v;
+  }
+  EXPECT_GT(deaf_rounds, 0u);
+  EXPECT_GT(fed_packets, 100u);
+}
+
 TEST(LbProcess, AblatedModeStillSatisfiesDeterministicSpec) {
   const auto g = graph::clique_cluster(6);
   auto params = small_params(g.delta(), g.delta_prime(), 0.01);

@@ -3,6 +3,7 @@
 // SeedProcess.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -323,6 +324,61 @@ TEST(SeedAlgRunner, QuietWindowsByStatus) {
   runner.skip(runner.quiet_rounds());
   EXPECT_TRUE(runner.done());
   EXPECT_EQ(runner.decision()->owner, 5u);
+}
+
+TEST(SeedProcess, DeafWindowsIgnoreEverySeed) {
+  // Two copies of a SeedProcess, stepped by hand every round on the same
+  // receptions except inside a deaf promise (sim::Process::deaf): there
+  // one copy hears null and the other a random seed.  Transmits,
+  // decisions, decision rounds and promises must agree throughout, and
+  // past the end of the runner.  Outside deaf windows both hear the same
+  // sparse random seeds, so listeners decide by ear as well as by default.
+  const SeedAlgParams param_sets[] = {raw_params(3, 4), raw_params(2, 7),
+                                      SeedAlgParams::make(0.25, 16)};
+  std::int64_t deaf_rounds = 0, by_ear = 0;
+  for (const SeedAlgParams& params : param_sets) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      Rng init_a(seed), init_b(seed), env(seed, 1);
+      SeedProcess a(params, 1, init_a), b(params, 1, init_b);
+      Rng rng_a(seed, 2), rng_b(seed, 2);
+      sim::Round deaf_until = 0;
+      for (sim::Round t = 1; t <= params.total_rounds() + 5; ++t) {
+        sim::RoundContext ctx_a(t, rng_a), ctx_b(t, rng_b);
+        const auto sent_a = a.transmit(ctx_a);
+        const auto sent_b = b.transmit(ctx_b);
+        ASSERT_EQ(sent_a.has_value(), sent_b.has_value()) << "round " << t;
+        if (!sent_a.has_value()) {
+          std::optional<sim::Packet> heard;
+          if (env.chance(0.08)) heard = seed_packet(7, env.bits());
+          if (t <= deaf_until) {
+            ++deaf_rounds;
+            a.receive(std::nullopt, ctx_a);
+            b.receive(seed_packet(8 + env.below(4), env.bits()), ctx_b);
+          } else {
+            a.receive(heard, ctx_a);
+            b.receive(heard, ctx_b);
+          }
+        }
+        const std::int64_t promise = a.silent_steps(0);
+        ASSERT_EQ(promise, b.silent_steps(0)) << "round " << t;
+        ASSERT_EQ(a.deaf(), b.deaf()) << "round " << t;
+        if (promise > 0 && a.deaf()) {
+          deaf_until = std::max(deaf_until, t + promise);
+        }
+        ASSERT_EQ(a.decision().has_value(), b.decision().has_value());
+        if (a.decision().has_value()) {
+          ASSERT_EQ(a.decision()->owner, b.decision()->owner) << t;
+          ASSERT_EQ(a.decision()->seed_value, b.decision()->seed_value);
+        }
+        ASSERT_EQ(a.decision_round(), b.decision_round());
+      }
+      ASSERT_TRUE(a.decision().has_value());
+      by_ear += a.decision()->owner == 7;
+      EXPECT_EQ(rng_a.bits(), rng_b.bits()) << "rng streams diverged";
+    }
+  }
+  EXPECT_GT(deaf_rounds, 1000);
+  EXPECT_GT(by_ear, 50);
 }
 
 TEST(SeedAlgRunner, InitialSeedsAreIndependentDraws) {
