@@ -9,10 +9,12 @@ namespace dg::lb {
 
 LbProcess::LbProcess(std::shared_ptr<const LbParams> params,
                      sim::ProcessId id, graph::Vertex vertex,
-                     LbListener* listener, std::uint8_t* busy_flag)
+                     LbListener* listener, std::uint8_t* busy_flag,
+                     std::uint32_t origin_hint)
     : sim::Process(id),
       params_(std::move(params)),
       vertex_(vertex),
+      origin_hint_(origin_hint),
       listener_(listener),
       busy_flag_(busy_flag),
       group_len_(params_->group_length()) {
@@ -232,7 +234,7 @@ void LbProcess::receive(const std::optional<sim::Packet>& packet,
 }
 
 void LbProcess::handle_data(const sim::DataPayload& data, sim::Round round) {
-  if (!seen_.admit(data.id)) return;  // already received before
+  if (!seen_.admit(data.id, origin_hint_)) return;  // received before
   ++recv_count_;
   if (listener_ != nullptr) {
     listener_->on_recv(vertex_, data.id, data.content, round);

@@ -181,8 +181,9 @@ LbSimulation::LbSimulation(const graph::DualGraph& g,
   processes.reserve(g.size());
   processes_.reserve(g.size());
   for (graph::Vertex v = 0; v < static_cast<graph::Vertex>(g.size()); ++v) {
-    auto p = std::make_unique<LbProcess>(params_, ids_[v], v, fanout_.get(),
-                                         &busy_[v]);
+    auto p = std::make_unique<LbProcess>(
+        params_, ids_[v], v, fanout_.get(), &busy_[v],
+        static_cast<std::uint32_t>(g.gprime_neighbors(v).size()));
     processes_.push_back(p.get());
     processes.push_back(std::move(p));
   }

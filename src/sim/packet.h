@@ -44,12 +44,22 @@ struct MessageIdHash {
 /// instead of one per message ever received.
 class HighWaterFilter {
  public:
-  /// Records `m`; true iff it is new.
-  bool admit(const MessageId& m) {
-    const auto it = std::lower_bound(
+  /// Records `m`; true iff it is new.  `capacity_hint` is an allocation
+  /// hint only, never part of the answer: the caller's bound on the
+  /// distinct origins it can hear (its G'-degree).  The filter grows one
+  /// origin at a time through its first two (most receivers of a sparse
+  /// run hear no more), then reserves the hint on the third, instead of
+  /// regrowing at every doubling as further origins arrive.
+  bool admit(const MessageId& m, std::size_t capacity_hint = 0) {
+    auto it = std::lower_bound(
         marks_.begin(), marks_.end(), m.origin,
         [](const MessageId& mark, ProcessId o) { return mark.origin < o; });
     if (it == marks_.end() || it->origin != m.origin) {
+      if (marks_.size() == 2) {
+        const auto at = it - marks_.begin();
+        marks_.reserve(capacity_hint);
+        it = marks_.begin() + at;
+      }
       marks_.insert(it, m);
       return true;
     }

@@ -4,6 +4,7 @@
 // engine reproducibility.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 
@@ -27,6 +28,26 @@ std::vector<std::unique_ptr<Process>> make_scripted(
     out.push_back(std::make_unique<ScriptProcess>(ids[v], scripts[v]));
   }
   return out;
+}
+
+TEST(HighWaterFilter, CapacityHintNeverChangesAnswers) {
+  // The capacity hint is an allocation hint only: filters with any hint
+  // answer a random stream of ids exactly as a per-origin maximum does.
+  Rng rng(0x4857);
+  std::map<ProcessId, std::uint32_t> best;
+  HighWaterFilter filters[] = {{}, {}, {}, {}};
+  const std::size_t hints[] = {0, 1, 3, 64};
+  for (int i = 0; i < 4000; ++i) {
+    const MessageId m{1 + rng.below(12),
+                      static_cast<std::uint32_t>(rng.below(40))};
+    const auto it = best.find(m.origin);
+    const bool fresh = it == best.end() || m.seq > it->second;
+    if (fresh) best[m.origin] = m.seq;
+    for (std::size_t f = 0; f < 4; ++f) {
+      ASSERT_EQ(filters[f].admit(m, hints[f]), fresh)
+          << "hint " << hints[f] << ", id " << i;
+    }
+  }
 }
 
 TEST(AssignIds, UniqueAndNonZero) {
